@@ -60,21 +60,14 @@ def run(key: int = DEFAULT_KEY,
         plaintexts: Optional[Sequence[int]] = None,
         mismatch_seed: int = 0,
         checkpoint_dir: Optional[str] = None,
-        chunk_size: int = 32,
-        workers: int = 1,
-        backend: str = "auto",
         telemetry=None) -> Fig6Result:
     """Run the three-style CPA campaign.
 
     ``checkpoint_dir`` makes each per-style acquisition resumable: traces
-    are snapshotted to ``<dir>/fig6_<style>.npz`` every ``chunk_size``
-    plaintexts, and a killed run restarted with the same directory
+    are snapshotted to ``<dir>/fig6_<style>.npz`` after every
+    :class:`~repro.experiments.runner.CheckpointedRun` chunk (32
+    plaintexts), and a killed run restarted with the same directory
     resumes mid-campaign with byte-identical final correlations.
-
-    ``workers`` spreads each style's acquisition over a worker pool
-    (``repro.sca.acquisition``); trace noise is keyed by trace index,
-    so any worker count produces byte-identical traces and the same
-    CPA verdicts.
     """
     results: Dict[str, CampaignResult] = {}
     for lib in (build_cmos_library(), build_mcml_library(),
@@ -83,14 +76,13 @@ def run(key: int = DEFAULT_KEY,
                                   mismatch_seed=mismatch_seed,
                                   telemetry=telemetry)
         if checkpoint_dir is None:
-            results[lib.style] = campaign.run(plaintexts, workers=workers,
-                                              backend=backend)
+            results[lib.style] = campaign.run(plaintexts)
         else:
             runner = CheckpointedRun(
                 os.path.join(checkpoint_dir, f"fig6_{lib.style}.npz"),
-                chunk_size=chunk_size, telemetry=telemetry)
-            results[lib.style] = campaign.run_checkpointed(
-                runner, plaintexts, workers=workers, backend=backend)
+                telemetry=telemetry)
+            results[lib.style] = campaign.run_checkpointed(runner,
+                                                           plaintexts)
     return Fig6Result(results=results, key=key)
 
 
@@ -104,9 +96,7 @@ class ResolutionAblation:
 def resolution_ablation(key: int = DEFAULT_KEY,
                         resolutions=(uA(1.0), uA(0.1), uA(0.01), 0.0),
                         noise_sigma: float = 0.0,
-                        mismatch_seed: int = 0,
-                        workers: int = 1,
-                        backend: str = "auto") -> ResolutionAblation:
+                        mismatch_seed: int = 0) -> ResolutionAblation:
     """Sweep the probe resolution against the PG-MCML implementation.
 
     With an impossibly ideal probe (no noise, no quantisation) the
@@ -121,7 +111,7 @@ def resolution_ablation(key: int = DEFAULT_KEY,
                                  resolution=resolution)
         campaign = AttackCampaign(lib, key, chain=chain,
                                   mismatch_seed=mismatch_seed)
-        outcome = campaign.run(workers=workers, backend=backend)
+        outcome = campaign.run()
         rows.append({
             "resolution_ua": resolution * 1e6,
             "rank": outcome.rank,

@@ -62,17 +62,14 @@ class TVLAExperiment:
 def run(key: int = 0x2B, n_traces: int = 128,
         chain: Optional[MeasurementChain] = None,
         checkpoint_dir: Optional[str] = None,
-        chunk_size: int = 32,
-        workers: int = 1,
-        backend: str = "auto",
         telemetry=None) -> TVLAExperiment:
     """Assess all three styles with fixed-vs-random TVLA.
 
     ``checkpoint_dir`` makes each per-style acquisition resumable
-    (snapshots at ``<dir>/tvla_<style>.npz`` every ``chunk_size``
+    (snapshots at ``<dir>/tvla_<style>.npz`` after every
+    :class:`~repro.experiments.runner.CheckpointedRun` chunk of 32
     traces); a killed assessment restarted with the same directory
-    resumes and yields identical t statistics.  ``workers`` spreads
-    each acquisition over a worker pool with byte-identical traces.
+    resumes and yields identical t statistics.
     """
     rows: List[TVLAStyleRow] = []
     for build in (build_cmos_library, build_mcml_library,
@@ -83,10 +80,9 @@ def run(key: int = 0x2B, n_traces: int = 128,
         if checkpoint_dir is not None:
             runner = CheckpointedRun(
                 os.path.join(checkpoint_dir, f"tvla_{library.style}.npz"),
-                chunk_size=chunk_size, telemetry=telemetry)
+                telemetry=telemetry)
         result = fixed_vs_random_tvla(netlist, key=key, n_traces=n_traces,
                                       chain=chain, runner=runner,
-                                      workers=workers, backend=backend,
                                       telemetry=telemetry)
         rows.append(TVLAStyleRow(
             style=library.style, n_traces=n_traces,
@@ -98,16 +94,14 @@ def run(key: int = 0x2B, n_traces: int = 128,
 
 def detection_threshold(style_builder, key: int = 0x2B,
                         counts=(16, 32, 64, 128, 256),
-                        chain: Optional[MeasurementChain] = None,
-                        workers: int = 1,
-                        backend: str = "auto") -> Optional[int]:
+                        chain: Optional[MeasurementChain] = None
+                        ) -> Optional[int]:
     """Smallest trace count at which TVLA first flags the style."""
     library = style_builder()
     netlist, _ = build_reduced_aes(library)
     for n in counts:
         result = fixed_vs_random_tvla(netlist, key=key, n_traces=n,
-                                      chain=chain, workers=workers,
-                                      backend=backend)
+                                      chain=chain)
         if result.leaks:
             return n
     return None

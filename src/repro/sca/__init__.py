@@ -28,10 +28,9 @@ from .acquisition import (
     AcquisitionPool,
     TraceAcquirer,
     acquire_traces,
-    resolve_backend,
     validate_plaintexts,
 )
-from .attack import AttackCampaign, CampaignResult, collect_traces
+from .attack import AttackCampaign, CampaignResult
 from .matrix import (
     MatrixCell,
     MatrixReport,
@@ -71,11 +70,9 @@ __all__ = [
     "AcquisitionPool",
     "TraceAcquirer",
     "acquire_traces",
-    "resolve_backend",
     "validate_plaintexts",
     "AttackCampaign",
     "CampaignResult",
-    "collect_traces",
     "MatrixCell",
     "MatrixReport",
     "MatrixSpec",

@@ -1,48 +1,36 @@
-"""Order-independent parallel trace acquisition.
+"""Order-independent trace acquisition.
 
 The Fig. 6 / TVLA campaigns push thousands of event simulations through
 the power models and the measurement chain — the repo's heaviest
-workload.  This module is the worker-pool layer that spreads one
-campaign's plaintexts over threads or processes while guaranteeing the
-result is **byte-identical** to a serial run, regardless of worker
-count, chunking, or execution order:
+workload.  This module is the one path every campaign, matrix cell and
+job-service chunk acquires through, and its output is **byte-identical**
+however a campaign's plaintexts are split into chunks and in whatever
+order the chunks run:
 
 * noise is counter-based (:class:`repro.power.MeasurementChain` derives
-  trace *i*'s generator from ``(campaign entropy, i)``), so no worker
-  consumes stream state another worker needed;
+  trace *i*'s generator from ``(campaign entropy, i)``), so a chunk
+  consumes no stream state another chunk needs — the job service
+  shards a campaign on this, and checkpointed campaigns resume on it;
 * mismatch residuals are a pure function of ``(netlist, mismatch_seed)``
-  — every worker's :class:`BlockPowerModel` draws the same die;
-* chunks are reassembled by trace index, not completion order.
+  — every :class:`BlockPowerModel` built for a campaign draws the same
+  die;
+* a chunk's rows are placed by trace index.
 
-:class:`TraceAcquirer` owns the per-worker hoisted state (one power
+:class:`TraceAcquirer` owns the hoisted per-campaign state (one power
 model, one event simulator, the precomputed data-independent baseline
 for differential styles), so none of it is rebuilt per chunk.
-:func:`acquire_traces` is the one-shot entry point;
-:class:`AcquisitionPool` keeps a pool alive across many acquisitions
-(the checkpointed campaign path reuses one pool for every chunk).
-
-The process backend relies on ``fork`` (Linux/macOS-with-fork): workers
-inherit the acquirer through copy-on-write, which sidesteps pickling
-the netlist's cell-function closures.  Where ``fork`` is unavailable
-the pool falls back to threads.
+:class:`AcquisitionPool` is a campaign's chunked, instrumented session
+over one acquirer; :func:`acquire_traces` is the one-shot entry point.
 """
 
 from __future__ import annotations
 
-import itertools
-import multiprocessing
-import queue
-import threading
-import time
-import weakref
-from concurrent.futures import BrokenExecutor, Executor, \
-    ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import AcquisitionError, AttackError, ConvergenceError
-from ..obs import NULL_TELEMETRY, MemorySink, Telemetry
+from ..errors import AttackError
+from ..obs import NULL_TELEMETRY
 from ..netlist import GateNetlist, LogicSimulator
 from ..power import (
     BlockPowerModel,
@@ -53,58 +41,32 @@ from ..power import (
     wddl_baseline,
     wddl_current,
 )
-from ..spice.batch import batch_size_from_env
 from ..units import ns, ps
 
 #: Trace capture window (the reduced AES settles well within this).
 DEFAULT_WINDOW = ns(2.0)
 #: Current sampling step for attack traces.
 DEFAULT_DT = ps(25.0)
-#: Plaintexts handed to a worker at a time.
+#: Plaintexts acquired per chunk (one ``sca.acquisition.chunk`` span).
 DEFAULT_CHUNK = 16
-
-_BACKENDS = ("auto", "serial", "thread", "process")
-
-
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def resolve_backend(backend: str, workers: int) -> str:
-    """Map (backend, workers) onto the backend actually used."""
-    if backend not in _BACKENDS:
-        raise AttackError(
-            f"unknown acquisition backend {backend!r}; "
-            f"choose from {_BACKENDS}")
-    if workers < 1:
-        raise AttackError(f"workers must be >= 1: {workers}")
-    if workers == 1 or backend == "serial":
-        return "serial"
-    if backend == "auto":
-        return "process" if _fork_available() else "thread"
-    if backend == "process" and not _fork_available():
-        return "thread"
-    return backend
 
 
 def validate_plaintexts(plaintexts: Sequence[int]) -> List[int]:
     """Whole-batch validation, before any trace is acquired.
 
     A bad byte in the middle of a campaign must not leave half the work
-    done (and the noise counter advanced) before raising.
+    done (and the noise counter advanced) before raising.  Only Python
+    and NumPy integers in ``0..255`` are plaintext bytes: a float, a
+    bool or a numeric string is rejected, never truncated.
     """
     values: List[int] = []
     bad: List[object] = []
     for p in plaintexts:
-        try:
-            value = int(p)
-        except (TypeError, ValueError):
-            bad.append(p)
-            continue
-        if not 0 <= value <= 0xFF:
-            bad.append(p)
+        if isinstance(p, (int, np.integer)) and not isinstance(p, bool) \
+                and 0 <= p <= 0xFF:
+            values.append(int(p))
         else:
-            values.append(value)
+            bad.append(p)
     if bad:
         shown = ", ".join(repr(b) for b in bad[:8])
         more = "" if len(bad) <= 8 else f" (+{len(bad) - 8} more)"
@@ -113,7 +75,7 @@ def validate_plaintexts(plaintexts: Sequence[int]) -> List[int]:
 
 
 class TraceAcquirer:
-    """One worker's end of a campaign: simulate, compose, measure.
+    """One campaign's trace function: simulate, compose, measure.
 
     Owns everything that is loop-invariant across the campaign's traces
     — the power model, the event simulator, the key stimulus, and (for
@@ -124,16 +86,9 @@ class TraceAcquirer:
     def __init__(self, netlist: GateNetlist, key: int,
                  chain: Optional[MeasurementChain] = None,
                  grid: Optional[TraceGrid] = None,
-                 mismatch_seed: int = 0, t_apply: float = 0.0,
-                 batch: Optional[int] = None):
+                 mismatch_seed: int = 0, t_apply: float = 0.0):
         if not 0 <= key <= 0xFF:
             raise AttackError(f"key byte out of range: {key}")
-        if batch is None:
-            batch = batch_size_from_env(default=1)
-        batch = int(batch)
-        if batch < 1:
-            raise AttackError(f"batch must be >= 1: {batch}")
-        self.batch = batch
         self.netlist = netlist
         self.key = key
         self.chain = chain if chain is not None else MeasurementChain()
@@ -218,410 +173,57 @@ class TraceAcquirer:
                                 baseline=self._baseline)
 
     def acquire(self, plaintexts: Sequence[int],
-                trace_offset: int = 0,
-                failures: Optional[List[dict]] = None) -> np.ndarray:
+                trace_offset: int = 0) -> np.ndarray:
         """Measured traces, one row per plaintext.
 
         ``trace_offset`` is the campaign-global index of the first
         plaintext — it keys the noise, so a chunk produces the same
-        bytes wherever and whenever it runs.
-
-        With ``batch > 1`` the instrument arithmetic runs over blocks
-        of that many traces through
-        :meth:`~repro.power.MeasurementChain.measure_block`; the noise
-        stays per-trace Philox, so the blocked path is byte-identical
-        to the serial loop by construction.
-
-        A :class:`ConvergenceError` on one trace does not fail the
-        whole chunk outright: the failing trace is isolated and retried
-        serially on its own (re-entering the solver's full recovery
-        ladder where the power model is simulator-backed) while every
-        other trace keeps its result.  A recovered isolation is
-        appended to ``failures`` (trace index, plaintext, original
-        error) so the pool can emit ``trace_failed`` telemetry; only a
-        trace whose serial retry fails too raises.
+        bytes wherever and whenever it runs.  The ideal samples fill
+        one ``(n, S)`` block that goes through
+        :meth:`~repro.power.MeasurementChain.measure_block` once; the
+        noise stays per-trace Philox, so this is byte-identical to
+        measuring each trace on its own.
         """
         pts = validate_plaintexts(plaintexts)
-        rows = np.empty((len(pts), self.grid.n))
-        if self.batch > 1:
-            for begin in range(0, len(pts), self.batch):
-                block = pts[begin:begin + self.batch]
-                samples = np.zeros((len(block), self.grid.n))
-                retry: List[Tuple[int, int, ConvergenceError]] = []
-                for j, plaintext in enumerate(block):
-                    try:
-                        samples[j] = self.ideal_samples(plaintext)
-                    except ConvergenceError as err:
-                        retry.append((j, plaintext, err))
-                rows[begin:begin + len(block)] = self.chain.measure_block(
-                    samples, first_index=trace_offset + begin)
-                for j, plaintext, err in retry:
-                    rows[begin + j] = self._retry_trace(
-                        plaintext, trace_offset + begin + j, err, failures)
-        else:
-            for i, plaintext in enumerate(pts):
-                index = trace_offset + i
-                try:
-                    samples = self.ideal_samples(plaintext)
-                except ConvergenceError as err:
-                    rows[i] = self._retry_trace(plaintext, index, err,
-                                                failures)
-                else:
-                    rows[i] = self.chain.measure(samples, trace_index=index)
-        return rows
-
-    def _retry_trace(self, plaintext: int, trace_index: int,
-                     err: ConvergenceError,
-                     failures: Optional[List[dict]]) -> np.ndarray:
-        """Serial retry of one isolated trace.
-
-        The retry re-runs the trace alone; a second failure is the
-        trace's final outcome and raises with the full post-mortem
-        context (which campaign trace, which input) so the JSONL trace
-        alone locates it.
-        """
-        record = {"trace_index": trace_index, "plaintext": plaintext,
-                  "key": self.key, "error": err.to_dict()}
-        try:
-            samples = self.ideal_samples(plaintext)
-        except ConvergenceError as err2:
-            err2.context.setdefault("trace_index", trace_index)
-            err2.context.setdefault("plaintext", plaintext)
-            err2.context.setdefault("key", self.key)
-            raise
-        if failures is not None:
-            failures.append(record)
-        return self.chain.measure(samples, trace_index=trace_index)
-
-
-# -- worker-pool plumbing -----------------------------------------------------
-
-#: Acquirers inherited by forked process workers, keyed by pool token.
-#: Only ever *read* in workers; the parent owns the lifecycle.
-_FORK_ACQUIRERS: Dict[int, TraceAcquirer] = {}
-_POOL_TOKENS = itertools.count(1)
-
-
-def _instrumented_chunk(acquirer: TraceAcquirer, chunk_index: int,
-                        trace_offset: int, plaintexts: List[int],
-                        observe: bool, t_submit: float):
-    """Run one chunk, optionally under an isolated telemetry collector.
-
-    Returns ``(rows, records, failures)`` where ``records`` is the
-    collector's record list (to be :meth:`~repro.obs.Telemetry.adopt`-ed
-    by the parent in chunk-index order) or ``None`` when telemetry is
-    off, and ``failures`` lists the chunk's recovered per-trace
-    isolations (see :meth:`TraceAcquirer.acquire`).  Everything is
-    plain dicts, so the fork backend can pickle the results back
-    across the process boundary.
-    """
-    failures: List[dict] = []
-    if not observe:
-        try:
-            rows = acquirer.acquire(plaintexts, trace_offset=trace_offset,
-                                    failures=failures)
-        except ConvergenceError as err:
-            err.context.setdefault("chunk", chunk_index)
-            raise
-        return rows, None, failures
-    collector = Telemetry(sinks=[MemorySink()])
-    t0 = time.monotonic()
-    collector.histogram("sca.acquisition.queue_wait_seconds").observe(
-        max(0.0, t0 - t_submit))
-    try:
-        with collector.span("sca.acquisition.chunk", chunk=chunk_index,
-                            offset=trace_offset, n=len(plaintexts)):
-            rows = acquirer.acquire(plaintexts, trace_offset=trace_offset,
-                                    failures=failures)
-    except ConvergenceError as err:
-        err.context.setdefault("chunk", chunk_index)
-        raise
-    collector.histogram("sca.acquisition.chunk_seconds").observe(
-        time.monotonic() - t0)
-    collector.counter("sca.acquisition.traces").inc(len(plaintexts))
-    collector.emit_metrics()
-    return rows, collector.sinks[0].records, failures
-
-
-def _process_chunk(token: int, chunk_index: int, trace_offset: int,
-                   plaintexts: List[int], observe: bool, t_submit: float):
-    acquirer = _FORK_ACQUIRERS.get(token)
-    if acquirer is None:
-        raise AttackError(
-            "process worker has no inherited acquirer (fork-only backend "
-            "ran under a spawn start method?)")
-    return _instrumented_chunk(acquirer, chunk_index, trace_offset,
-                               plaintexts, observe, t_submit)
+        block = np.empty((len(pts), self.grid.n))
+        for row, plaintext in enumerate(pts):
+            block[row] = self.ideal_samples(plaintext)
+        return self.chain.measure_block(block, first_index=trace_offset)
 
 
 class AcquisitionPool:
-    """A reusable worker pool bound to one campaign's acquisition state.
+    """A campaign's chunked acquisition session over one acquirer.
 
-    Usable as a context manager.  ``workers=1`` (or backend="serial")
-    degenerates to an in-process acquirer with zero pool overhead, so
-    callers can thread a ``workers`` argument through unconditionally.
+    Acquires in :data:`DEFAULT_CHUNK` pieces and reports them on
+    ``telemetry``: an ``sca.acquisition.acquire`` span per call, an
+    ``sca.acquisition.chunk`` child span per chunk, the
+    ``sca.acquisition.chunk_seconds`` histogram and the
+    ``sca.acquisition.traces`` counter.  Chunking changes no byte (see
+    the module docstring).
     """
 
-    def __init__(self, factory: Callable[[], TraceAcquirer],
-                 workers: int = 1, backend: str = "auto",
-                 chunk_size: int = DEFAULT_CHUNK, telemetry=None,
-                 max_pool_rebuilds: int = 3, batch: Optional[int] = None):
-        if chunk_size < 1:
-            raise AttackError(f"chunk_size must be >= 1: {chunk_size}")
-        if max_pool_rebuilds < 0:
-            raise AttackError(
-                f"max_pool_rebuilds must be >= 0: {max_pool_rebuilds}")
-        if batch is not None and int(batch) < 1:
-            raise AttackError(f"batch must be >= 1: {batch}")
-        self.backend = resolve_backend(backend, workers)
-        self.workers = 1 if self.backend == "serial" else workers
-        self.chunk_size = chunk_size
-        self.max_pool_rebuilds = max_pool_rebuilds
-        self.batch = None if batch is None else int(batch)
+    def __init__(self, acquirer: TraceAcquirer, telemetry=None):
+        self.acquirer = acquirer
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        if batch is not None:
-            # Override the acquirer's batch size without asking every
-            # factory to grow a parameter: acquirers expose `batch` as
-            # plain state, and every worker builds through this wrapper.
-            base_factory, size = factory, self.batch
-
-            def factory() -> TraceAcquirer:
-                acquirer = base_factory()
-                acquirer.batch = size
-                return acquirer
-        self._factory = factory
-        self._executor: Optional[Executor] = None
-        self._token: Optional[int] = None
-        self._finalizer = None
-        self._serial: Optional[TraceAcquirer] = None
-        self._thread_acquirers: Optional["queue.SimpleQueue"] = None
-        self._thread_local = threading.local()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def __enter__(self) -> "AcquisitionPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown()
-        self._release_token()
-
-    def _release_token(self) -> None:
-        """Drop this pool's fork-acquirer registry entry (idempotent)."""
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-        if self._token is not None:
-            _FORK_ACQUIRERS.pop(self._token, None)
-            self._token = None
-
-    def _ensure_started(self) -> None:
-        if self.backend == "serial":
-            if self._serial is None:
-                self._serial = self._factory()
-            return
-        if self._executor is not None:
-            return
-        if self.backend == "process":
-            # The acquirer must exist before the first submit: workers
-            # fork lazily and inherit it copy-on-write.  The finalizer
-            # reclaims the registry slot even when the pool is abandoned
-            # without close() (e.g. a caller that crashed mid-campaign).
-            token = next(_POOL_TOKENS)
-            _FORK_ACQUIRERS[token] = self._factory()
-            self._token = token
-            self._finalizer = weakref.finalize(
-                self, _FORK_ACQUIRERS.pop, token, None)
-            try:
-                self._executor = self._new_process_executor()
-            except Exception:
-                self._release_token()
-                raise
-        else:
-            # One acquirer per thread, all built up front in this thread
-            # (LogicSimulator construction touches shared netlist caches,
-            # so it must not race).
-            acquirers: "queue.SimpleQueue" = queue.SimpleQueue()
-            for _ in range(self.workers):
-                acquirers.put(self._factory())
-            self._thread_acquirers = acquirers
-            self._executor = ThreadPoolExecutor(max_workers=self.workers)
-
-    def _new_process_executor(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=multiprocessing.get_context("fork"))
-
-    def _thread_chunk(self, chunk_index: int, trace_offset: int,
-                      plaintexts: List[int], observe: bool,
-                      t_submit: float):
-        acquirer = getattr(self._thread_local, "acquirer", None)
-        if acquirer is None:
-            acquirer = self._thread_acquirers.get_nowait()
-            self._thread_local.acquirer = acquirer
-        return _instrumented_chunk(acquirer, chunk_index, trace_offset,
-                                   plaintexts, observe, t_submit)
-
-    # -- worker-crash recovery -----------------------------------------------
-
-    def _run_thread_jobs(self, jobs, observe: bool) -> List:
-        futures = [self._executor.submit(
-            self._thread_chunk, index, offset, chunk, observe,
-            time.monotonic() if observe else 0.0)
-            for index, offset, chunk in jobs]
-        return [f.result() for f in futures]
-
-    def _run_process_jobs(self, jobs, observe: bool, tele) -> List:
-        """Run chunks on the fork pool, surviving killed workers.
-
-        A dead worker breaks the whole :class:`ProcessPoolExecutor`:
-        every not-yet-finished future raises ``BrokenProcessPool``.
-        Completed chunks keep their results, so only the unfinished
-        chunks are requeued onto a rebuilt executor — and because each
-        chunk is a pure function of ``(chunk_index, trace_offset,
-        plaintexts)`` (counter-based noise, deterministic mismatch), the
-        requeued rerun is byte-identical to what the dead worker would
-        have produced.  After ``max_pool_rebuilds`` rebuilds the pool
-        falls back to the thread backend rather than looping forever
-        against a systematically dying fork environment.
-        """
-        results: Dict[int, Tuple] = {}
-        pending = list(jobs)
-        rebuilds = 0
-        while pending:
-            futures = []
-            lost = []
-            broken = False
-            for job in pending:
-                if broken:
-                    lost.append(job)
-                    continue
-                try:
-                    futures.append((self._executor.submit(
-                        _process_chunk, self._token, job[0], job[1], job[2],
-                        observe, time.monotonic() if observe else 0.0), job))
-                except BrokenExecutor:
-                    broken = True
-                    lost.append(job)
-            for future, job in futures:
-                try:
-                    results[job[0]] = future.result()
-                except BrokenExecutor:
-                    lost.append(job)
-            if not lost:
-                break
-            pending = sorted(lost)
-            tele.counter("sca.acquisition.workers_lost").inc()
-            tele.event("sca.acquisition.worker_lost",
-                       chunks=[j[0] for j in pending],
-                       requeued=len(pending), rebuilds=rebuilds)
-            if rebuilds >= self.max_pool_rebuilds:
-                tele.counter("sca.acquisition.backend_fallbacks").inc()
-                tele.event("sca.acquisition.backend_fallback",
-                           from_backend="process", to_backend="thread",
-                           rebuilds=rebuilds, remaining=len(pending))
-                self._fallback_to_threads()
-                finished = self._run_thread_jobs(pending, observe)
-                for job, result in zip(pending, finished):
-                    results[job[0]] = result
-                break
-            rebuilds += 1
-            self._rebuild_process_executor()
-            tele.counter("sca.acquisition.pool_rebuilds").inc()
-            tele.event("sca.acquisition.pool_rebuilt", rebuild=rebuilds,
-                       requeued=len(pending))
-        missing = [index for index, _, _ in jobs if index not in results]
-        if missing:  # pragma: no cover - defensive
-            raise AcquisitionError(
-                f"chunks never completed: {missing}",
-                context={"chunks": missing, "rebuilds": rebuilds})
-        return [results[index] for index, _, _ in jobs]
-
-    def _rebuild_process_executor(self) -> None:
-        """Replace a broken fork executor; the acquirer token survives."""
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False)
-        self._executor = self._new_process_executor()
-
-    def _fallback_to_threads(self) -> None:
-        """Permanently demote this pool to the thread backend."""
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False)
-        self._release_token()
-        self.backend = "thread"
-        self._ensure_started()
-
-    # -- acquisition ---------------------------------------------------------
 
     def acquire(self, plaintexts: Sequence[int],
                 trace_offset: int = 0) -> np.ndarray:
-        """Measured traces for ``plaintexts``, rows in plaintext order.
-
-        Chunks are submitted in order and reassembled by index, so the
-        output is invariant to which worker finishes first.  Every
-        backend — serial included — runs the same chunk wrapper, so the
-        adopted span tree is identical for serial, thread, and fork
-        runs of the same campaign slice.
-        """
+        """Measured traces for ``plaintexts``, rows in plaintext order."""
         pts = validate_plaintexts(plaintexts)
-        self._ensure_started()
         tele = self.telemetry
-        observe = tele.enabled
-        if self.backend == "serial" and not pts:
-            # Preserve the acquirer's own grid width for the empty case.
-            return self._serial.acquire(pts, trace_offset=trace_offset)
-        jobs: List[Tuple[int, int, List[int]]] = [
-            (index, trace_offset + begin,
-             pts[begin:begin + self.chunk_size])
-            for index, begin in enumerate(
-                range(0, len(pts), self.chunk_size))]
-        with tele.span("sca.acquisition.acquire", backend=self.backend,
-                       workers=self.workers, traces=len(pts),
-                       chunks=len(jobs), chunk_size=self.chunk_size,
-                       batch=self.batch):
-            try:
-                if self.backend == "serial":
-                    results = [
-                        _instrumented_chunk(
-                            self._serial, index, offset, chunk, observe,
-                            time.monotonic() if observe else 0.0)
-                        for index, offset, chunk in jobs]
-                elif self.backend == "process":
-                    results = self._run_process_jobs(jobs, observe, tele)
-                else:
-                    results = self._run_thread_jobs(jobs, observe)
-            except ConvergenceError as err:
-                # The context carries trace_index/plaintext/chunk (set at
-                # the point of failure), so this one event makes the
-                # failure reproducible from the JSONL trace alone.
-                tele.counter("sca.acquisition.trace_failures").inc()
-                tele.event("sca.acquisition.trace_failed",
-                           backend=self.backend, error=err.to_dict())
-                raise
-            blocks: List[np.ndarray] = []
-            for rows, records, failures in results:
-                if records is not None:
-                    tele.adopt(records)
-                for failure in failures:
-                    # A trace that fell out of its chunk but recovered
-                    # on the serial retry: the campaign goes on, the
-                    # isolation is still a first-class event.
-                    tele.counter("sca.acquisition.trace_failures").inc()
-                    tele.event("sca.acquisition.trace_failed",
-                               backend=self.backend, recovered=True,
-                               **failure)
-                blocks.append(rows)
-        if not blocks:
-            return np.zeros((0, TraceGrid(0.0, DEFAULT_WINDOW,
-                                          DEFAULT_DT).n))
-        return np.vstack(blocks)
+        starts = range(0, len(pts), DEFAULT_CHUNK)
+        rows = np.empty((len(pts), self.acquirer.grid.n))
+        with tele.span("sca.acquisition.acquire", traces=len(pts),
+                       chunks=len(starts), chunk_size=DEFAULT_CHUNK):
+            for index, begin in enumerate(starts):
+                chunk = pts[begin:begin + DEFAULT_CHUNK]
+                with tele.span("sca.acquisition.chunk", chunk=index,
+                               offset=trace_offset + begin, n=len(chunk)), \
+                        tele.timer("sca.acquisition.chunk_seconds"):
+                    rows[begin:begin + len(chunk)] = self.acquirer.acquire(
+                        chunk, trace_offset=trace_offset + begin)
+                tele.counter("sca.acquisition.traces").inc(len(chunk))
+        return rows
 
 
 def acquire_traces(netlist: GateNetlist, key: int,
@@ -629,27 +231,15 @@ def acquire_traces(netlist: GateNetlist, key: int,
                    chain: Optional[MeasurementChain] = None,
                    grid: Optional[TraceGrid] = None,
                    mismatch_seed: int = 0, t_apply: float = 0.0,
-                   workers: int = 1, backend: str = "auto",
-                   chunk_size: int = DEFAULT_CHUNK,
-                   trace_offset: int = 0, telemetry=None,
-                   batch: Optional[int] = None) -> np.ndarray:
-    """One-shot parallel acquisition: simulate, compose, and measure
-    ``plaintexts`` with ``workers`` workers.
+                   trace_offset: int = 0, telemetry=None) -> np.ndarray:
+    """One-shot acquisition: simulate, compose, and measure
+    ``plaintexts``.
 
-    Byte-identical to a serial run for any ``workers``/``backend``/
-    ``chunk_size`` — and for any ``telemetry`` or ``batch`` — see the
-    module docstring for why.
+    Trace ``i`` draws its noise from index ``trace_offset + i``, so the
+    result is a pure function of the inputs — byte-identical for any
+    ``telemetry`` and to any chunked acquisition of the same slice.
     """
-    pts = validate_plaintexts(plaintexts)
-
-    def factory() -> TraceAcquirer:
-        return TraceAcquirer(netlist, key, chain=chain, grid=grid,
-                             mismatch_seed=mismatch_seed, t_apply=t_apply,
-                             batch=batch)
-
-    if not pts:
-        return np.zeros((0, (grid if grid is not None else
-                             TraceGrid(0.0, DEFAULT_WINDOW, DEFAULT_DT)).n))
-    with AcquisitionPool(factory, workers=workers, backend=backend,
-                         chunk_size=chunk_size, telemetry=telemetry) as pool:
-        return pool.acquire(pts, trace_offset=trace_offset)
+    acquirer = TraceAcquirer(netlist, key, chain=chain, grid=grid,
+                             mismatch_seed=mismatch_seed, t_apply=t_apply)
+    return AcquisitionPool(acquirer, telemetry=telemetry).acquire(
+        plaintexts, trace_offset=trace_offset)

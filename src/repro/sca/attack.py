@@ -12,8 +12,8 @@ One :class:`AttackCampaign` owns the full chain for one logic style:
    S-box-output model over all 256 guesses.
 
 Trace acquisition goes through :mod:`repro.sca.acquisition`: noise is
-keyed by campaign-global trace index, so campaigns parallelise over
-``workers`` and checkpoint/resume without changing a byte of the
+keyed by campaign-global trace index, so campaigns checkpoint/resume
+(and the job service shards them) without changing a byte of the
 result.
 
 The paper's outcome to reproduce: **CMOS breaks, MCML and PG-MCML do
@@ -36,14 +36,7 @@ from ..power import MeasurementChain, TraceGrid
 from ..synth import map_lut, sbox_truth_tables
 from ..synth.buffering import buffer_high_fanout
 from ..power.preprocess import standardize
-from .acquisition import (
-    DEFAULT_CHUNK,
-    DEFAULT_DT,
-    DEFAULT_WINDOW,
-    AcquisitionPool,
-    TraceAcquirer,
-    acquire_traces,
-)
+from .acquisition import AcquisitionPool, TraceAcquirer, validate_plaintexts
 from .cpa import CPAResult, cpa_attack
 from .dpa import DPAResult, multibit_dpa_attack
 
@@ -76,28 +69,6 @@ def build_reduced_aes(library: Library,
         nl.add_primary_output(net)
     buffer_high_fanout(nl, max_fanout=6)
     return nl, outputs
-
-
-def collect_traces(netlist: GateNetlist, key: int,
-                   plaintexts: Sequence[int],
-                   chain: Optional[MeasurementChain] = None,
-                   grid: Optional[TraceGrid] = None,
-                   mismatch_seed: int = 0,
-                   t_apply: float = 0.0,
-                   trace_offset: int = 0,
-                   workers: int = 1,
-                   backend: str = "auto") -> np.ndarray:
-    """Simulated measured traces, one row per plaintext.
-
-    The whole batch is validated before any simulation runs, and trace
-    ``i`` draws its noise from index ``trace_offset + i`` — the result
-    is a pure function of the inputs, independent of worker count or
-    chunk order.
-    """
-    return acquire_traces(netlist, key, plaintexts, chain=chain,
-                          grid=grid, mismatch_seed=mismatch_seed,
-                          t_apply=t_apply, trace_offset=trace_offset,
-                          workers=workers, backend=backend)
 
 
 @dataclass
@@ -163,72 +134,49 @@ class AttackCampaign:
                 "mismatch_seed": self.mismatch_seed,
                 "noise": self.chain.fingerprint()}
 
-    def _acquirer_factory(self, grid: Optional[TraceGrid],
-                          batch: Optional[int] = None):
-        def factory() -> TraceAcquirer:
-            return TraceAcquirer(self.netlist, self.key, chain=self.chain,
-                                 grid=grid,
-                                 mismatch_seed=self.mismatch_seed,
-                                 batch=batch)
-        return factory
-
     def run(self, plaintexts: Optional[Sequence[int]] = None,
             with_dpa: bool = False,
-            grid: Optional[TraceGrid] = None,
-            workers: int = 1, backend: str = "auto",
-            chunk_size: int = DEFAULT_CHUNK,
-            batch: Optional[int] = None) -> CampaignResult:
+            grid: Optional[TraceGrid] = None) -> CampaignResult:
         """Collect traces and attack.
 
         Defaults to all 256 plaintexts — the exhaustive enumeration the
-        paper uses.  ``workers`` spreads the acquisition over a process
-        (or thread) pool; ``batch`` sets the acquirer's lockstep block
-        size (default: ``REPRO_SPICE_BATCH``); the traces are
-        byte-identical for any combination.
+        paper uses.
         """
-        pts = list(plaintexts) if plaintexts is not None else list(range(256))
-        tele = self.telemetry
-        with tele.span("sca.campaign", style=self.library.style,
-                       key=self.key, n_traces=len(pts),
-                       checkpointed=False):
-            with AcquisitionPool(self._acquirer_factory(grid, batch),
-                                 workers=workers, backend=backend,
-                                 chunk_size=chunk_size,
-                                 telemetry=tele) as pool:
-                traces = pool.acquire(pts)
-            return self._attack(pts, traces, with_dpa)
+        return self._campaign(None, plaintexts, with_dpa, grid)
 
     def run_checkpointed(self, runner, plaintexts: Optional[Sequence[int]] = None,
                          with_dpa: bool = False,
-                         grid: Optional[TraceGrid] = None,
-                         workers: int = 1,
-                         backend: str = "auto",
-                         batch: Optional[int] = None) -> CampaignResult:
+                         grid: Optional[TraceGrid] = None) -> CampaignResult:
         """Like :meth:`run`, but collect traces through a resumable runner.
 
         ``runner`` is a :class:`repro.experiments.runner.CheckpointedRun`
         (duck-typed to keep this layer free of experiment imports): trace
         acquisition proceeds in chunks with an atomic snapshot after each,
         and a killed campaign restarted with the same runner path resumes
-        where it stopped.  Noise is keyed by trace index, so resumed (and
-        parallel) acquisition is byte-identical to an uninterrupted serial
-        run with no RNG state riding along in the checkpoint; the seeding
-        scheme is fingerprinted instead, so a snapshot from a different
-        scheme or entropy refuses to resume.
+        where it stopped.  Noise is keyed by trace index, so resumed
+        acquisition is byte-identical to an uninterrupted run with no RNG
+        state riding along in the checkpoint; the seeding scheme is
+        fingerprinted instead, so a snapshot from a different scheme or
+        entropy refuses to resume.
         """
-        pts = list(plaintexts) if plaintexts is not None else list(range(256))
+        return self._campaign(runner, plaintexts, with_dpa, grid)
+
+    def _campaign(self, runner, plaintexts: Optional[Sequence[int]],
+                  with_dpa: bool, grid: Optional[TraceGrid]) -> CampaignResult:
+        pts = validate_plaintexts(
+            plaintexts if plaintexts is not None else range(256))
         tele = self.telemetry
         with tele.span("sca.campaign", style=self.library.style,
                        key=self.key, n_traces=len(pts),
-                       checkpointed=True):
-            with AcquisitionPool(self._acquirer_factory(grid, batch),
-                                 workers=workers, backend=backend,
-                                 telemetry=tele) as pool:
-
-                def process(chunk: Sequence[int], start: int) -> np.ndarray:
-                    return pool.acquire(chunk, trace_offset=start)
-
-                traces = runner.run(pts, process,
+                       checkpointed=runner is not None):
+            pool = AcquisitionPool(
+                TraceAcquirer(self.netlist, self.key, chain=self.chain,
+                              grid=grid, mismatch_seed=self.mismatch_seed),
+                telemetry=tele)
+            if runner is None:
+                traces = pool.acquire(pts)
+            else:
+                traces = runner.run(pts, pool.acquire,
                                     fingerprint=self.fingerprint())
             return self._attack(pts, traces, with_dpa)
 

@@ -89,11 +89,10 @@ def _derive_seed(*parts) -> int:
 
 
 #: Error codes considered transient for grid-cell retry purposes: an
-#: external backend that died or timed out, and acquisition-pool
-#: failures (rebuild budget exhausted on a loaded host).  A resubmitted
-#: grid with ``retry_failed=True`` re-attempts cells cached with one of
-#: these instead of replaying the stale failure.
-TRANSIENT_ERROR_PREFIXES = ("E_BACKEND", "E_ACQUISITION")
+#: external backend that died or timed out.  A resubmitted grid with
+#: ``retry_failed=True`` re-attempts cells cached with one of these
+#: instead of replaying the stale failure.
+TRANSIENT_ERROR_PREFIXES = ("E_BACKEND",)
 
 
 def is_transient_error_code(code: Optional[str]) -> bool:
@@ -389,15 +388,12 @@ class MatrixReport:
 
 
 class _GridRunner:
-    """Shared state for one grid execution: caches + acquisition pool."""
+    """Shared state for one grid execution: builders and caches."""
 
-    def __init__(self, spec: MatrixSpec, telemetry, workers: int,
-                 backend: str, erc: Optional[bool],
+    def __init__(self, spec: MatrixSpec, telemetry, erc: Optional[bool],
                  retry_failed: bool = False):
         self.spec = spec
         self.tele = telemetry
-        self.workers = workers
-        self.backend = backend
         self.erc = erc if erc is not None else erc_enabled()
         self.retry_failed = retry_failed
         self._libraries: Dict[Tuple[str, str], Library] = {}
@@ -438,10 +434,10 @@ class _GridRunner:
         Failures are cached too, so every cell sharing a broken trace
         set reports the same error without re-running the acquisition —
         unless ``retry_failed`` is set and the cached failure looks
-        transient (an ``E_BACKEND_*`` subprocess death or an
-        ``E_ACQUISITION`` pool collapse), in which case the acquisition
-        is re-attempted once per :meth:`traceset` call instead of
-        replaying a failure the environment may have recovered from.
+        transient (an ``E_BACKEND_*`` subprocess death), in which case
+        the acquisition is re-attempted once per :meth:`traceset` call
+        instead of replaying a failure the environment may have
+        recovered from.
         """
         key = cell.trace_key(repeat)
         if key in self._tracesets:
@@ -478,18 +474,13 @@ class _GridRunner:
         # every attack and budget measured on that die at that corner.
         mismatch_seed = derive_mismatch_seed(spec.base_seed, cell.style,
                                              cell.corner, repeat)
-
-        def factory() -> TraceAcquirer:
-            return TraceAcquirer(netlist, spec.key, chain=chain,
-                                 mismatch_seed=mismatch_seed)
-
         with self.tele.span("sca.matrix.acquire", style=cell.style,
                             corner=cell.corner, schedule=cell.schedule,
                             n_traces=len(pts), repeat=repeat):
-            with AcquisitionPool(factory, workers=self.workers,
-                                 backend=self.backend,
-                                 telemetry=self.tele) as pool:
-                traces = pool.acquire(pts)
+            acquirer = TraceAcquirer(netlist, spec.key, chain=chain,
+                                     mismatch_seed=mismatch_seed)
+            traces = AcquisitionPool(acquirer,
+                                     telemetry=self.tele).acquire(pts)
         return pts, traces
 
     def _plaintexts(self, cell: MatrixCell, repeat: int) -> List[int]:
@@ -617,24 +608,21 @@ class _GridRunner:
         return rows
 
 
-def run_matrix(spec: MatrixSpec, telemetry=None, workers: int = 1,
-               backend: str = "auto", erc: Optional[bool] = None,
+def run_matrix(spec: MatrixSpec, telemetry=None, erc: Optional[bool] = None,
                retry_failed: bool = False) -> MatrixReport:
     """Expand ``spec`` and run every cell, returning one report.
 
-    ``workers``/``backend`` configure each cell's acquisition pool;
     ``erc`` overrides the REPRO_ERC preflight gate.  ``retry_failed``
     re-attempts tracesets whose cached failure carries a transient
-    error code (``E_BACKEND_*``/``E_ACQUISITION``) instead of replaying
-    it into every consumer cell — the knob for resubmitting a grid
-    after an environment hiccup.  Cell order (and every seed) is a pure
+    error code (``E_BACKEND_*``) instead of replaying it into every
+    consumer cell — the knob for resubmitting a grid after an
+    environment hiccup.  Cell order (and every seed) is a pure
     function of the spec, so two runs of the same grid produce
     byte-identical trace sets.
     """
     tele = telemetry if telemetry is not None else NULL_TELEMETRY
     cells = spec.expand()
-    runner = _GridRunner(spec, tele, workers, backend, erc,
-                         retry_failed=retry_failed)
+    runner = _GridRunner(spec, tele, erc, retry_failed=retry_failed)
     with tele.span("sca.matrix", n_cells=len(cells),
                    styles=",".join(spec.styles),
                    attacks=",".join(spec.attacks),

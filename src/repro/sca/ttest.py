@@ -97,8 +97,6 @@ def fixed_vs_random_tvla(netlist, key: int, n_traces: int = 128,
                          fixed_plaintext: int = 0x00,
                          chain=None, grid=None, mismatch_seed: int = 0,
                          seed: int = 99, runner=None,
-                         workers: int = 1,
-                         backend: str = "auto",
                          telemetry=None) -> TVLAResult:
     """Run a fixed-vs-random TVLA campaign against a reduced-AES netlist.
 
@@ -107,13 +105,11 @@ def fixed_vs_random_tvla(netlist, key: int, n_traces: int = 128,
     given, is a :class:`repro.experiments.runner.CheckpointedRun`: the
     acquisition proceeds in resumable chunks, and a killed campaign
     restarted with the same runner path produces byte-identical traces.
-    ``workers`` spreads the acquisition over a worker pool; noise is
-    keyed by trace index, so any worker count (with or without a
-    runner) yields the same bytes.
     """
     from ..obs import NULL_TELEMETRY
     from ..power import MeasurementChain
-    from .acquisition import AcquisitionPool, TraceAcquirer
+    from .acquisition import AcquisitionPool, TraceAcquirer, \
+        validate_plaintexts
 
     tele = telemetry if telemetry is not None else NULL_TELEMETRY
     if n_traces < 4:
@@ -125,40 +121,35 @@ def fixed_vs_random_tvla(netlist, key: int, n_traces: int = 128,
         raise AttackError(
             f"n_traces must be even (fixed/random classes are "
             f"interleaved pairwise); got {n_traces}")
+    (fixed_plaintext,) = validate_plaintexts([fixed_plaintext])
     rng = np.random.default_rng(seed)
     half = n_traces // 2
-    fixed_pts = [fixed_plaintext] * half
     random_pts = [int(x) for x in rng.integers(0, 256, size=half)]
     # One interleaved acquisition so both classes see identical
     # instrument state.
     interleaved: List[int] = []
-    for f, r in zip(fixed_pts, random_pts):
-        interleaved.extend((f, r))
+    for r in random_pts:
+        interleaved.extend((fixed_plaintext, r))
     chain = chain if chain is not None else MeasurementChain()
-
-    def factory():
-        return TraceAcquirer(netlist, key, chain=chain, grid=grid,
-                             mismatch_seed=mismatch_seed)
 
     with tele.span("sca.tvla", key=key, n_traces=n_traces,
                    fixed_plaintext=fixed_plaintext,
                    checkpointed=runner is not None) as span:
-        with AcquisitionPool(factory, workers=workers, backend=backend,
-                             telemetry=tele) as pool:
-            if runner is None:
-                traces = pool.acquire(interleaved)
-            else:
-                def process(chunk, start):
-                    return pool.acquire(chunk, trace_offset=start)
-
-                traces = runner.run(
-                    interleaved, process,
-                    fingerprint={"experiment": "tvla", "key": key,
-                                 "n_traces": n_traces,
-                                 "fixed_plaintext": fixed_plaintext,
-                                 "mismatch_seed": mismatch_seed,
-                                 "seed": seed,
-                                 "noise": chain.fingerprint()})
+        pool = AcquisitionPool(
+            TraceAcquirer(netlist, key, chain=chain, grid=grid,
+                          mismatch_seed=mismatch_seed),
+            telemetry=tele)
+        if runner is None:
+            traces = pool.acquire(interleaved)
+        else:
+            traces = runner.run(
+                interleaved, pool.acquire,
+                fingerprint={"experiment": "tvla", "key": key,
+                             "n_traces": n_traces,
+                             "fixed_plaintext": fixed_plaintext,
+                             "mismatch_seed": mismatch_seed,
+                             "seed": seed,
+                             "noise": chain.fingerprint()})
         fixed_traces = traces[0::2]
         random_traces = traces[1::2]
         t = welch_t(fixed_traces, random_traces)

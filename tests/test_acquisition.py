@@ -1,9 +1,9 @@
-"""Tests for the order-independent parallel acquisition engine.
+"""Tests for the order-independent acquisition engine.
 
 The contract under test: a campaign's trace matrix is a pure function
 of (netlist, key, chain entropy, mismatch seed, plaintexts) — the same
-bytes come out whether acquisition is serial, threaded, forked,
-chunk-shuffled, or killed and resumed from a checkpoint.
+bytes come out whether acquisition runs in one call, in chunks of any
+size in any order, or is killed and resumed from a checkpoint.
 """
 
 import numpy as np
@@ -18,15 +18,12 @@ from repro.errors import AttackError, CheckpointError, TraceError
 from repro.experiments.runner import CheckpointedRun
 from repro.power import MeasurementChain, TraceGrid
 from repro.sca import (
-    AcquisitionPool,
     AttackCampaign,
     TraceAcquirer,
     acquire_traces,
     cpa_attack,
-    resolve_backend,
     validate_plaintexts,
 )
-from repro.sca.acquisition import _fork_available
 from repro.sca.attack import build_reduced_aes
 from repro.units import ns, ps, uA
 
@@ -45,7 +42,7 @@ def style_setup(request):
     """(style, library, netlist, serial reference matrix) per style."""
     library = _BUILDERS[request.param]()
     netlist, _ = build_reduced_aes(library)
-    serial = acquire_traces(netlist, KEY, PTS, workers=1)
+    serial = acquire_traces(netlist, KEY, PTS)
     return request.param, library, netlist, serial
 
 
@@ -65,64 +62,41 @@ class _KillAfter(CheckpointedRun):
 
 
 class TestByteIdenticalAcrossExecution:
-    """ISSUE acceptance: workers=1, workers=4, shuffled chunk order and
-    kill-and-resume all produce byte-identical matrices, per style."""
-
-    def test_thread_pool_matches_serial(self, style_setup):
-        _, _, netlist, serial = style_setup
-        threaded = acquire_traces(netlist, KEY, PTS, workers=4,
-                                  backend="thread", chunk_size=8)
-        assert np.array_equal(threaded, serial)
-
-    @pytest.mark.skipif(not _fork_available(),
-                        reason="fork start method unavailable")
-    def test_process_pool_matches_serial(self, style_setup):
-        _, _, netlist, serial = style_setup
-        forked = acquire_traces(netlist, KEY, PTS, workers=4,
-                                backend="process", chunk_size=8)
-        assert np.array_equal(forked, serial)
+    """Shuffled chunk order, odd chunking and kill-and-resume all produce
+    the one-call matrix byte for byte, per style."""
 
     def test_shuffled_chunk_order_matches_serial(self, style_setup):
         _, _, netlist, serial = style_setup
         acquirer = TraceAcquirer(netlist, KEY)
-        starts = list(range(0, len(PTS), 8))
-        np.random.default_rng(3).shuffle(starts)
-        rows = np.empty_like(serial)
-        for begin in starts:
-            chunk = PTS[begin:begin + 8]
-            rows[begin:begin + len(chunk)] = acquirer.acquire(
-                chunk, trace_offset=begin)
-        assert np.array_equal(rows, serial)
+        for size in (8, 7):  # 7 leaves a ragged final chunk
+            starts = list(range(0, len(PTS), size))
+            np.random.default_rng(3).shuffle(starts)
+            rows = np.empty_like(serial)
+            for begin in starts:
+                chunk = PTS[begin:begin + size]
+                rows[begin:begin + len(chunk)] = acquirer.acquire(
+                    chunk, trace_offset=begin)
+            assert np.array_equal(rows, serial)
 
-    def test_chunk_size_does_not_matter(self, style_setup):
-        _, _, netlist, serial = style_setup
-        odd = acquire_traces(netlist, KEY, PTS, workers=2,
-                             backend="thread", chunk_size=7)
-        assert np.array_equal(odd, serial)
-
-    def test_kill_and_resume_with_workers_matches_serial(self, style_setup,
-                                                         tmp_path):
+    def test_kill_and_resume_matches_serial(self, style_setup, tmp_path):
         _, library, _, serial = style_setup
         path = tmp_path / "campaign.npz"
         campaign = AttackCampaign(library, KEY)
         with pytest.raises(KeyboardInterrupt):
             campaign.run_checkpointed(
-                _KillAfter(path, chunk_size=8, die_after=2), PTS,
-                workers=2, backend="thread")
+                _KillAfter(path, chunk_size=8, die_after=2), PTS)
 
         runner = CheckpointedRun(path, chunk_size=8)
-        resumed = AttackCampaign(library, KEY).run_checkpointed(
-            runner, PTS, workers=4, backend="thread")
+        resumed = AttackCampaign(library, KEY).run_checkpointed(runner, PTS)
         assert runner.stats.chunks_resumed == 2
         assert np.array_equal(resumed.traces, serial)
         reference = cpa_attack(serial, PTS, true_key=KEY)
         assert resumed.cpa.rank_of_true_key() == \
             reference.rank_of_true_key()
 
-    def test_campaign_api_rank_invariant_under_workers(self, style_setup):
+    def test_campaign_api_matches_acquire_traces(self, style_setup):
         _, library, _, serial = style_setup
-        result = AttackCampaign(library, KEY).run(PTS, workers=4,
-                                                  backend="thread")
+        result = AttackCampaign(library, KEY).run(PTS)
         assert np.array_equal(result.traces, serial)
         reference = cpa_attack(serial, PTS, true_key=KEY)
         assert result.cpa.rank_of_true_key() == \
@@ -174,9 +148,10 @@ class TestCounterBasedNoise:
 class TestValidation:
     def test_bad_plaintexts_listed(self):
         with pytest.raises(AttackError) as err:
-            validate_plaintexts([0, -1, 256, "x"])
+            validate_plaintexts([0, -1, 256, "x", 3.7, True, "7"])
         message = str(err.value)
         assert "-1" in message and "256" in message and "'x'" in message
+        assert "3.7" in message and "True" in message and "'7'" in message
 
     def test_overflow_of_bad_values_is_summarised(self):
         with pytest.raises(AttackError, match=r"\+2 more"):
@@ -209,30 +184,6 @@ class TestValidation:
             TraceAcquirer(netlist, 0x100)
 
 
-class TestBackendResolution:
-    def test_workers_one_is_always_serial(self):
-        for backend in ("auto", "serial", "thread", "process"):
-            assert resolve_backend(backend, 1) == "serial"
-
-    def test_serial_backend_wins_over_workers(self):
-        assert resolve_backend("serial", 8) == "serial"
-
-    def test_auto_picks_a_parallel_backend(self):
-        assert resolve_backend("auto", 4) in ("process", "thread")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(AttackError, match="unknown"):
-            resolve_backend("mpi", 4)
-
-    def test_nonpositive_workers_rejected(self):
-        with pytest.raises(AttackError):
-            resolve_backend("auto", 0)
-
-    def test_pool_rejects_bad_chunk_size(self):
-        with pytest.raises(AttackError):
-            AcquisitionPool(lambda: None, workers=2, chunk_size=0)
-
-
 class TestCheckpointScheme:
     def test_different_entropy_refuses_to_resume(self, tmp_path):
         library = build_cmos_library()
@@ -253,58 +204,6 @@ class TestCheckpointScheme:
         netlist, _ = build_reduced_aes(library)
         out = acquire_traces(netlist, KEY, [])
         assert out.shape[0] == 0 and out.shape[1] > 0
-
-
-class TestConvergenceFailureContext:
-    """A failed solve inside a campaign must be locatable from the JSONL
-    telemetry alone: trace index, chunk, plaintext, key (PR 6)."""
-
-    def _failing_pool(self, telemetry=None, fail_at=11):
-        from repro.errors import ConvergenceError
-        from repro.sca.acquisition import TraceAcquirer
-
-        library = build_cmos_library()
-        netlist, _ = build_reduced_aes(library)
-
-        class _Flaky(TraceAcquirer):
-            def ideal_samples(self, plaintext):
-                if plaintext == fail_at:
-                    raise ConvergenceError("newton diverged")
-                return super().ideal_samples(plaintext)
-
-        return AcquisitionPool(lambda: _Flaky(netlist, KEY), workers=1,
-                               chunk_size=4, telemetry=telemetry)
-
-    def test_error_context_names_the_trace(self):
-        from repro.errors import ConvergenceError
-
-        with self._failing_pool() as pool:
-            with pytest.raises(ConvergenceError) as err:
-                pool.acquire(list(range(16)), trace_offset=100)
-        ctx = err.value.context
-        assert ctx["trace_index"] == 111  # offset 100 + position 11
-        assert ctx["plaintext"] == 11
-        assert ctx["key"] == KEY
-        assert ctx["chunk"] == 2  # chunk_size=4 -> plaintext 11 in chunk 2
-        assert err.value.to_dict()["context"]["trace_index"] == 111
-
-    def test_trace_failed_event_carries_the_post_mortem(self):
-        from repro.errors import ConvergenceError
-        from repro.obs import MemorySink, Telemetry
-
-        sink = MemorySink()
-        tele = Telemetry(sinks=[sink])
-        with self._failing_pool(telemetry=tele) as pool:
-            with pytest.raises(ConvergenceError):
-                pool.acquire(list(range(16)))
-        failed = [r for r in sink.records
-                  if r.get("name") == "sca.acquisition.trace_failed"]
-        assert len(failed) == 1
-        error = failed[0]["attrs"]["error"]
-        assert error["error_code"] == "E_CONVERGENCE"
-        assert error["context"]["trace_index"] == 11
-        assert error["context"]["plaintext"] == 11
-        assert error["context"]["chunk"] == 2
 
 
 class TestBlockedMeasurement:
@@ -336,137 +235,3 @@ class TestBlockedMeasurement:
             chain.measure_block(np.zeros((2, 8)), first_index=-1)
         empty = chain.measure_block(np.zeros((0, 8)))
         assert empty.shape == (0, 8)
-
-
-class TestBatchedAcquisition:
-    """The acquirer's batch knob must never change a byte (PR 7)."""
-
-    @pytest.mark.parametrize("batch", [1, 3, 16, 64])
-    def test_batch_sizes_byte_identical(self, style_setup, batch):
-        # 40 traces: batch=3 and 16 leave ragged final blocks, 64
-        # exceeds the trace count entirely.
-        _, _, netlist, serial = style_setup
-        out = acquire_traces(netlist, KEY, PTS, batch=batch)
-        assert out.tobytes() == serial.tobytes()
-
-    def test_env_var_sets_default_batch(self, monkeypatch):
-        from repro.spice.batch import BATCH_ENV
-        library = build_cmos_library()
-        netlist, _ = build_reduced_aes(library)
-        monkeypatch.setenv(BATCH_ENV, "6")
-        acquirer = TraceAcquirer(netlist, KEY)
-        assert acquirer.batch == 6
-        monkeypatch.delenv(BATCH_ENV)
-        assert TraceAcquirer(netlist, KEY).batch == 1
-
-    def test_pool_batch_overrides_factory(self):
-        library = build_cmos_library()
-        netlist, _ = build_reduced_aes(library)
-        pool = AcquisitionPool(lambda: TraceAcquirer(netlist, KEY),
-                               workers=1, batch=5)
-        pool._ensure_started()
-        assert pool._serial.batch == 5
-        with pytest.raises(AttackError):
-            AcquisitionPool(lambda: TraceAcquirer(netlist, KEY), batch=0)
-
-    def test_invalid_batch_rejected(self):
-        library = build_cmos_library()
-        netlist, _ = build_reduced_aes(library)
-        with pytest.raises(AttackError):
-            TraceAcquirer(netlist, KEY, batch=0)
-
-    def test_campaign_batch_knob_byte_identical(self):
-        library = build_cmos_library()
-        pts = list(range(24))
-        base = AttackCampaign(library, KEY).run(pts)
-        batched = AttackCampaign(library, KEY).run(pts, batch=8)
-        assert np.array_equal(base.traces, batched.traces)
-        assert base.rank == batched.rank
-
-    def test_kill_and_resume_under_batch_matches_serial(self, tmp_path):
-        library = build_cmos_library()
-        serial = AttackCampaign(library, KEY).run(PTS).traces
-        path = tmp_path / "campaign.npz"
-        campaign = AttackCampaign(library, KEY)
-        with pytest.raises(KeyboardInterrupt):
-            campaign.run_checkpointed(
-                _KillAfter(path, chunk_size=8, die_after=2), PTS, batch=4)
-        runner = CheckpointedRun(path, chunk_size=8)
-        resumed = AttackCampaign(library, KEY).run_checkpointed(
-            runner, PTS, batch=4)
-        assert runner.stats.chunks_resumed == 2
-        assert np.array_equal(resumed.traces, serial)
-
-
-class _TransientlyFlaky(TraceAcquirer):
-    """Fails each listed plaintext once, then recovers — the shape of a
-    marginal Newton solve that converges on the serial retry."""
-
-    def __init__(self, *args, fail_once=(), **kwargs):
-        super().__init__(*args, **kwargs)
-        self._remaining = set(fail_once)
-
-    def ideal_samples(self, plaintext):
-        if plaintext in self._remaining:
-            self._remaining.discard(plaintext)
-            from repro.errors import ConvergenceError
-            raise ConvergenceError("transient newton blowup")
-        return super().ideal_samples(plaintext)
-
-
-class TestTraceIsolation:
-    """A ConvergenceError on one trace no longer fails its whole chunk:
-    the trace is retried serially, the chunk's other traces survive,
-    and the isolation is a `trace_failed` event with the index (PR 7)."""
-
-    def _run(self, batch, fail_once=(5,)):
-        from repro.obs import MemorySink, Telemetry
-        library = build_cmos_library()
-        netlist, _ = build_reduced_aes(library)
-        serial = acquire_traces(netlist, KEY, PTS)
-        sink = MemorySink()
-        tele = Telemetry(sinks=[sink])
-        with AcquisitionPool(
-                lambda: _TransientlyFlaky(netlist, KEY,
-                                          fail_once=fail_once),
-                workers=1, chunk_size=8, telemetry=tele,
-                batch=batch) as pool:
-            out = pool.acquire(PTS)
-        events = [r for r in sink.records
-                  if r.get("name") == "sca.acquisition.trace_failed"]
-        return serial, out, events
-
-    @pytest.mark.parametrize("batch", [1, 4])
-    def test_recovered_trace_is_byte_identical(self, batch):
-        serial, out, events = self._run(batch)
-        assert out.tobytes() == serial.tobytes()
-        assert len(events) == 1
-        attrs = events[0]["attrs"]
-        assert attrs["trace_index"] == 5
-        assert attrs["recovered"] is True
-        assert attrs["error"]["error_code"] == "E_CONVERGENCE"
-
-    def test_multiple_isolations_across_chunks(self):
-        serial, out, events = self._run(batch=4, fail_once=(2, 11, 30))
-        assert out.tobytes() == serial.tobytes()
-        assert sorted(e["attrs"]["trace_index"] for e in events) == \
-            [2, 11, 30]
-
-    def test_persistent_failure_still_raises_with_context(self):
-        from repro.errors import ConvergenceError
-
-        library = build_cmos_library()
-        netlist, _ = build_reduced_aes(library)
-
-        class _Dead(TraceAcquirer):
-            def ideal_samples(self, plaintext):
-                if plaintext == 7:
-                    raise ConvergenceError("never converges")
-                return super().ideal_samples(plaintext)
-
-        with AcquisitionPool(lambda: _Dead(netlist, KEY, batch=4),
-                             workers=1, chunk_size=8) as pool:
-            with pytest.raises(ConvergenceError) as err:
-                pool.acquire(PTS)
-        assert err.value.context["trace_index"] == 7
-        assert err.value.context["plaintext"] == 7

@@ -307,7 +307,6 @@ class TestRetryFailed:
     def test_transient_error_code_predicate(self):
         assert is_transient_error_code("E_BACKEND_DIED")
         assert is_transient_error_code("E_BACKEND_PROTOCOL")
-        assert is_transient_error_code("E_ACQUISITION")
         assert not is_transient_error_code("E_ATTACK")
         assert not is_transient_error_code("E_CONVERGENCE")
         assert not is_transient_error_code(None)
