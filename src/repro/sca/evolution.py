@@ -15,7 +15,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import AttackError
-from .cpa import cpa_attack
+from .cpa import prefix_correlations
+from .metrics import prefix_counts
+from .ranking import tie_aware_rank
 
 
 @dataclass
@@ -23,7 +25,7 @@ class EvolutionPoint:
     n_traces: int
     true_peak: float
     wrong_envelope: float
-    rank: int
+    rank: float
 
     @property
     def escaped(self) -> bool:
@@ -47,7 +49,7 @@ class CPAEvolution:
                 escape = None
         return escape
 
-    def final_rank(self) -> int:
+    def final_rank(self) -> float:
         return self.points[-1].rank
 
     def series(self):
@@ -60,22 +62,21 @@ class CPAEvolution:
 
 def cpa_evolution(traces: np.ndarray, plaintexts: Sequence[int],
                   true_key: int, step: int = 32) -> CPAEvolution:
-    """Re-run CPA on growing prefixes of the campaign."""
+    """The campaign's CPA at every ``step``-th prefix (and the full
+    count), as snapshots of one pass of per-plaintext-class statistics
+    (:func:`~repro.sca.cpa.prefix_correlations`)."""
     traces = np.asarray(traces, dtype=float)
     pts = list(plaintexts)
     if traces.shape[0] != len(pts):
         raise AttackError("trace/plaintext count mismatch")
     if step < 2:
         raise AttackError("step must be at least 2")
-    counts = list(range(step, traces.shape[0] + 1, step))
-    if not counts or counts[-1] != traces.shape[0]:
-        counts.append(traces.shape[0])
     points: List[EvolutionPoint] = []
-    for n in counts:
-        result = cpa_attack(traces[:n], pts[:n], true_key=true_key)
-        peaks = result.peak_per_guess
+    for n, rho in prefix_correlations(traces, pts,
+                                      prefix_counts(traces.shape[0], step)):
+        peaks = np.abs(rho).max(axis=1)
         wrong = float(np.delete(peaks, true_key).max())
         points.append(EvolutionPoint(
             n_traces=n, true_peak=float(peaks[true_key]),
-            wrong_envelope=wrong, rank=result.rank_of_true_key()))
+            wrong_envelope=wrong, rank=tie_aware_rank(peaks, true_key)))
     return CPAEvolution(points=points, true_key=true_key)

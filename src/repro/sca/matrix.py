@@ -522,9 +522,8 @@ class _GridRunner:
             ranks.append(float(result.rank_of_true_key()))
             widths.append(int(result.best_guess_tie_width()))
             if cell.attack == "cpa" and repeat == 0:
-                # MTD on the first die only: the prefix re-runs dominate
-                # the grid's cost, and one disclosure curve per cell is
-                # what the comparison table needs.
+                # MTD on the first die only: one disclosure curve per
+                # cell is what the comparison table needs.
                 mtd_value = mtd(traces, pts, self.spec.key,
                                 step=max(cell.budget // 8, 16),
                                 stable_windows=2)

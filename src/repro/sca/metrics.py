@@ -8,12 +8,13 @@ count at which the attack stabilises on the correct key.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import AttackError
-from .cpa import cpa_attack
+from .cpa import prefix_correlations
+from .leakage import hw_model
 from .ranking import tie_aware_rank
 
 
@@ -57,11 +58,15 @@ def mtd(traces: np.ndarray, plaintexts: Sequence[int], true_key: int,
         model: Optional[Callable] = None) -> Optional[int]:
     """Measurements to disclosure.
 
-    Re-runs CPA on growing prefixes of the trace set (every ``step``
-    traces) and returns the smallest count from which the true key stays
-    rank 0 for ``stable_windows`` consecutive evaluations — or ``None``
-    if the attack never stabilises within the available traces (the
-    protected-logic outcome).
+    Evaluates CPA at growing prefixes of the trace set (every ``step``
+    traces, and always at the full count) and returns the smallest count
+    from which the true key stays the best guess for ``stable_windows``
+    consecutive evaluations — or ``None`` if the attack never stabilises
+    within the available traces (the protected-logic outcome).  The
+    prefixes are snapshots of one pass of per-plaintext-class
+    statistics (:func:`~repro.sca.cpa.prefix_correlations`), so
+    ``model`` must be elementwise in the plaintext byte, as
+    ``hw_model`` and ``hd_model`` are.
     """
     traces = np.asarray(traces, dtype=float)
     pts = list(plaintexts)
@@ -69,17 +74,13 @@ def mtd(traces: np.ndarray, plaintexts: Sequence[int], true_key: int,
         raise AttackError("trace/plaintext count mismatch")
     if step < 1:
         raise AttackError("step must be positive")
-    counts = list(range(step, traces.shape[0] + 1, step))
-    if not counts or counts[-1] != traces.shape[0]:
-        # Always evaluate the full trace set: fewer traces than one step
-        # must still run CPA once, not silently report "never disclosed".
-        counts.append(traces.shape[0])
+    if stable_windows < 1:
+        raise AttackError("stable_windows must be at least 1")
     streak = 0
     candidate: Optional[int] = None
-    for n in counts:
-        kwargs = {"model": model} if model is not None else {}
-        result = cpa_attack(traces[:n], pts[:n], true_key=true_key, **kwargs)
-        if result.best_guess == true_key:
+    for n, rho in prefix_correlations(traces, pts, prefix_counts(
+            traces.shape[0], step), model or hw_model):
+        if int(np.abs(rho).max(axis=1).argmax()) == true_key:
             if streak == 0:
                 candidate = n
             streak += 1
@@ -89,3 +90,13 @@ def mtd(traces: np.ndarray, plaintexts: Sequence[int], true_key: int,
             streak = 0
             candidate = None
     return None
+
+
+def prefix_counts(n_traces: int, step: int) -> List[int]:
+    """Every ``step``-th prefix length, always ending at ``n_traces``:
+    fewer traces than one step still evaluate once, not silently
+    report "never disclosed"."""
+    counts = list(range(step, n_traces + 1, step))
+    if not counts or counts[-1] != n_traces:
+        counts.append(n_traces)
+    return counts

@@ -29,8 +29,9 @@ TVLA_THRESHOLD = 4.5
 def welch_t(group_a: np.ndarray, group_b: np.ndarray) -> np.ndarray:
     """Welch's t statistic per column of two (n_traces, n_samples) sets.
 
-    Zero-variance columns in both groups yield t = 0 (no evidence), not
-    NaN — quantised flat traces are the expected MCML picture.
+    Zero-variance columns in both groups yield exactly t = 0 (no
+    evidence), not NaN — quantised flat traces are the expected MCML
+    picture.
     """
     a = np.asarray(group_a, dtype=float)
     b = np.asarray(group_b, dtype=float)
@@ -40,9 +41,14 @@ def welch_t(group_a: np.ndarray, group_b: np.ndarray) -> np.ndarray:
         raise AttackError("sample-count mismatch between groups")
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise AttackError("each group needs at least two traces")
+    # A constant column's float mean can miss its value by an ulp, and
+    # the variance of the residues then reads a false leak (|t| ~ 11 on
+    # identical flat groups): a column flat within its group has
+    # exactly zero variance.
+    flat_a, flat_b = np.ptp(a, axis=0) == 0.0, np.ptp(b, axis=0) == 0.0
     mean_a, mean_b = a.mean(axis=0), b.mean(axis=0)
-    var_a = a.var(axis=0, ddof=1) / a.shape[0]
-    var_b = b.var(axis=0, ddof=1) / b.shape[0]
+    var_a = np.where(flat_a, 0.0, a.var(axis=0, ddof=1) / a.shape[0])
+    var_b = np.where(flat_b, 0.0, b.var(axis=0, ddof=1) / b.shape[0])
     denom = np.sqrt(var_a + var_b)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(denom > 0.0, (mean_a - mean_b) / denom, 0.0)

@@ -39,15 +39,19 @@ lives in ``tests/test_spice_sparse.py`` (≤1e-9 on every waveform).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import splu
 
 from ..errors import CircuitError, ConvergenceError
 from .banks import BankAssembly
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+# scipy is imported where the sparse assembly is built and used, not
+# here: every ``repro`` import reaches this module through
+# ``repro.spice.dc``, and only the opt-in ``assembly="sparse"`` needs it.
 
 #: Tikhonov term added to the diagonal when the factorization reports a
 #: singular matrix — the same value the dense path adds before lstsq.
@@ -128,6 +132,9 @@ class SparseAssembly:
         # canonical layout deterministic and cache-friendly; the
         # fill-reducing ordering for the factorization itself is COLAMD
         # inside splu (RCM alone fills in catastrophically at scale).
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
         ones = np.ones(rows_all.size)
         pattern = sp.coo_matrix((ones, (rows_all, cols_all)),
                                 shape=(n, n)).tocsc()
@@ -198,6 +205,8 @@ class SparseAssembly:
 
     def matrix(self, data: np.ndarray) -> sp.csc_matrix:
         """The permuted CSC matrix over one assembled data vector."""
+        import scipy.sparse as sp
+
         return sp.csc_matrix((data, self._csc_rows, self._csc_indptr),
                              shape=(self.n, self.n))
 
@@ -285,6 +294,8 @@ class SparseAssembly:
         still singular, small systems densify into the dense path's
         exact lstsq fallback and large ones fail loudly.
         """
+        from scipy.sparse.linalg import splu
+
         try:
             lu = splu(self.matrix(data), permc_spec="COLAMD")
             return self._unpermute(lu.solve(rhs[self._perm])), 0

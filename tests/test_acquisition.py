@@ -13,9 +13,11 @@ from repro.cells import (
     build_cmos_library,
     build_mcml_library,
     build_pg_mcml_library,
+    build_wddl_library,
 )
 from repro.errors import AttackError, CheckpointError, TraceError
 from repro.experiments.runner import CheckpointedRun
+from repro.netlist import LogicSimulator
 from repro.power import MeasurementChain, TraceGrid
 from repro.sca import (
     AttackCampaign,
@@ -235,3 +237,42 @@ class TestBlockedMeasurement:
             chain.measure_block(np.zeros((2, 8)), first_index=-1)
         empty = chain.measure_block(np.zeros((0, 8)))
         assert empty.shape == (0, 8)
+
+
+class TestLeakageTable:
+    """The per-acquirer leakage table against the uncached simulation."""
+
+    @pytest.mark.parametrize("builder", [
+        build_cmos_library, build_mcml_library, build_pg_mcml_library,
+        build_wddl_library], ids=["cmos", "mcml", "pgmcml", "wddl"])
+    def test_table_matches_uncached_oracle(self, builder, monkeypatch):
+        netlist, _ = build_reduced_aes(builder())
+        rng = np.random.default_rng(11)
+        order = [int(p) for p in rng.permutation(256)]
+        order += [int(p) for p in rng.integers(0, 256, size=64)]
+        acquirer = TraceAcquirer(netlist, KEY)
+        sims = []
+        for name in ("run", "initialize"):
+            original = getattr(LogicSimulator, name)
+
+            def spy(self, *args, _original=original, **kwargs):
+                sims.append(1)
+                return _original(self, *args, **kwargs)
+            monkeypatch.setattr(LogicSimulator, name, spy)
+        acquirer.acquire(order)
+        assert len(sims) == 256
+        monkeypatch.undo()
+        fresh = TraceAcquirer(netlist, KEY)
+        for p in range(256):
+            row = acquirer.ideal_samples(p)
+            assert not row.flags.writeable
+            assert row is acquirer.ideal_samples(p)
+            assert np.array_equal(row, fresh._simulate(p))
+
+    def test_table_lives_with_its_acquirer(self):
+        netlist, _ = build_reduced_aes(build_cmos_library())
+        first = TraceAcquirer(netlist, KEY)
+        second = TraceAcquirer(netlist, KEY)
+        row = first.ideal_samples(0x42)
+        assert second.ideal_samples(0x42) is not row
+        assert np.array_equal(second.ideal_samples(0x42), row)

@@ -149,3 +149,22 @@ class TestDisassemblerListing:
                 break
             addr += 4
         assert count > 500  # the unrolled AES body
+
+
+class TestImportFootprint:
+    def test_program_imports_leave_scipy_out(self):
+        """Only the opt-in sparse assembly needs scipy; importing the
+        attack, cell, experiment and service layers must not load it."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("import sys, repro.sca, repro.cells, repro.experiments, "
+                "repro.service; print('scipy' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -17,6 +17,7 @@ from repro.sca import (
     key_rank,
     mtd,
     success_rate,
+    welch_t,
 )
 from repro.sca.leakage import all_guess_hypotheses
 
@@ -203,3 +204,32 @@ class TestMetrics:
     def test_mtd_validation(self):
         with pytest.raises(AttackError):
             mtd(np.ones((4, 2)), [0, 1], true_key=0, step=0)
+
+
+class TestConstantColumnsReadExactlyZero:
+    """A constant non-zero column's float mean misses its value by an
+    ulp; the residues must not normalise into a correlation or a t."""
+
+    def test_flat_cpa_is_the_full_tie(self):
+        result = cpa_attack(np.full((100, 4), 3e-6), list(range(100)),
+                            true_key=0x3C)
+        assert np.all(result.rho == 0.0)
+        assert result.rank_of_true_key() == 127.5
+        assert result.best_guess_tie_width() == 256
+
+    def test_constant_column_beside_a_varying_one(self):
+        rng = np.random.default_rng(1)
+        traces = rng.normal(size=(60, 2))
+        traces[:, 1] = 0.1
+        hyp = rng.normal(size=(3, 60))
+        rho = correlation_matrix(traces, hyp)
+        assert np.all(rho[:, 1] == 0.0)
+        for g in range(3):
+            assert rho[g, 0] == pytest.approx(
+                np.corrcoef(hyp[g], traces[:, 0])[0, 1], abs=1e-12)
+
+    @pytest.mark.parametrize("value,n_a,n_b", [
+        (0.1, 100, 37), (7e-6, 100, 37), (3e-6, 50, 47)])
+    def test_identical_flat_groups_do_not_leak(self, value, n_a, n_b):
+        t = welch_t(np.full((n_a, 3), value), np.full((n_b, 3), value))
+        assert np.all(t == 0.0)
