@@ -103,10 +103,6 @@ def main(argv=None) -> int:
                              "banks (default), per-device loop (oracle), "
                              "or CSR + splu for large netlists "
                              "(sets REPRO_SPICE_ASSEMBLY)")
-    parser.add_argument("--op-cache", action="store_true",
-                        help="reuse DC operating points across "
-                             "content-identical solves "
-                             "(sets REPRO_OP_CACHE=1)")
     from .spice.backend import available_backends
     parser.add_argument("--backend", choices=available_backends(),
                         help="simulator backend for DC/transient runs "
@@ -127,9 +123,6 @@ def main(argv=None) -> int:
         SolveBudget.from_env()  # fail fast on an unparsable spec
     if args.assembly:
         os.environ["REPRO_SPICE_ASSEMBLY"] = args.assembly
-    if args.op_cache:
-        from .spice import OP_CACHE_ENV
-        os.environ[OP_CACHE_ENV] = "1"
     if args.backend:
         from .spice.backend import dispatch
         os.environ[dispatch.BACKEND_ENV] = args.backend

@@ -32,6 +32,7 @@ from .bias import BiasPoint, solve_bias
 from .characterize import (
     CellMeasurement,
     characterize_mcml_cell,
+    characterize_mcml_cells,
     characterize_mcml_dff,
     measure_leakage,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "solve_bias",
     "CellMeasurement",
     "characterize_mcml_cell",
+    "characterize_mcml_cells",
     "characterize_mcml_dff",
     "measure_leakage",
     "McmlMonteCarloResult",

@@ -10,18 +10,25 @@ active and sleep modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import CharacterizationError
 from ..spice import (
     DC,
+    Circuit,
     Pulse,
+    TransientResult,
     differential_delay,
 )
-# Characterisation goes through the backend seam: the dispatch pair
-# resolves to the internal engine by default (byte-identical call) and
+# Characterisation goes through the backend seam: the dispatch calls
+# resolve to the internal engine by default (byte-identical call) and
 # to an external simulator under REPRO_SPICE_BACKEND / --backend.
-from ..spice.backend.dispatch import run_transient, solve_dc
+from ..spice.backend.dispatch import (
+    run_transient,
+    run_transient_batch,
+    solve_dc,
+)
+from ..spice.batch import lockstep_signature
 from ..tech import Technology, TECH90
 from ..units import ns, ps
 from .functions import CellFunction
@@ -82,15 +89,20 @@ WIRE_CAP_BASE = 0.8e-15
 WIRE_CAP_PER_FANOUT = 0.7e-15
 
 
-def characterize_mcml_cell(fn: CellFunction, generator: McmlCellGenerator,
-                           fanout: int = 1, tech: Technology = TECH90,
-                           dt: float = ps(0.5),
-                           window: float = ns(0.8)) -> CellMeasurement:
-    """Measure delay/swing/current of a generated MCML or PG-MCML cell.
+class _Testbench(NamedTuple):
+    """One characterisation run, built and waiting for its transient."""
 
-    The toggling input gets a differential pulse; each output rail is
-    loaded with ``fanout`` buffer inputs plus the routing capacitance.
-    """
+    circuit: Circuit
+    record: Tuple[str, str, str, str, str]  # in_p, in_n, out_p, out_n, vdd
+    cell_name: str
+    pin: str
+
+
+def _mcml_testbench(fn: CellFunction, generator: McmlCellGenerator,
+                    fanout: int, tech: Technology,
+                    window: float) -> _Testbench:
+    """The toggling input gets a differential pulse; each output rail is
+    loaded with ``fanout`` buffer inputs plus the routing capacitance."""
     pin, side, out = sensitising_assignment(fn)
     sizing = generator.sizing
     load = (fanout * generator.input_capacitance()
@@ -115,17 +127,62 @@ def characterize_mcml_cell(fn: CellFunction, generator: McmlCellGenerator,
         ckt.v(f"vside_{other.lower()}_p", o_p, DC(vhi if value else vlo))
         ckt.v(f"vside_{other.lower()}_n", o_n, DC(vlo if value else vhi))
 
-    result = run_transient(ckt, tstop=window, dt=dt,
-                           record=[in_p, in_n, *cell.output_nets[out],
-                                   cell.vdd_net])
     out_p, out_n = cell.output_nets[out]
+    return _Testbench(circuit=ckt,
+                      record=(in_p, in_n, out_p, out_n, cell.vdd_net),
+                      cell_name=fn.name, pin=pin)
+
+
+def _measure(bench: _Testbench, result: TransientResult,
+             window: float) -> CellMeasurement:
+    """Differential delay, settled swing and late supply current."""
+    in_p, in_n, out_p, out_n, _ = bench.record
     delay = differential_delay(result, in_p, in_n, out_p, out_n,
-                               after=half * 0.9)
-    diff = result.differential(out_p, out_n)
-    swing = diff.settle_value(0.1)
+                               after=window / 2 * 0.9)
+    swing = result.differential(out_p, out_n).settle_value(0.1)
     iss = result.current("vdd").average(t0=window * 0.75)
-    return CellMeasurement(cell_name=fn.name, delay=delay, swing=abs(swing),
-                           iss=iss, toggled_pin=pin)
+    return CellMeasurement(cell_name=bench.cell_name, delay=delay,
+                           swing=abs(swing), iss=iss, toggled_pin=bench.pin)
+
+
+def characterize_mcml_cells(
+        requests: Sequence[Tuple[CellFunction, McmlCellGenerator, int]],
+        tech: Technology = TECH90, dt: float = ps(0.5),
+        window: float = ns(0.8)) -> List[CellMeasurement]:
+    """Measure delay/swing/current of several generated MCML or PG-MCML
+    cells; one :class:`CellMeasurement` per ``(fn, generator, fanout)``
+    request, in request order.
+
+    Every testbench is built first.  Testbenches with one
+    :func:`~repro.spice.batch.lockstep_signature` and record list form
+    a group, and each group is one backend batch call: the internal
+    engine marches a group in lockstep, and a group of one runs as a
+    plain transient.
+    """
+    benches = [_mcml_testbench(fn, generator, fanout, tech, window)
+               for fn, generator, fanout in requests]
+    groups: Dict[tuple, List[int]] = {}
+    for k, bench in enumerate(benches):
+        key = (lockstep_signature(bench.circuit), bench.record)
+        groups.setdefault(key, []).append(k)
+    measurements: List[Optional[CellMeasurement]] = [None] * len(benches)
+    for members in groups.values():
+        results = run_transient_batch(
+            [benches[k].circuit for k in members], tstop=window, dt=dt,
+            record=list(benches[members[0]].record))
+        for k, result in zip(members, results):
+            measurements[k] = _measure(benches[k], result, window)
+    return measurements
+
+
+def characterize_mcml_cell(fn: CellFunction, generator: McmlCellGenerator,
+                           fanout: int = 1, tech: Technology = TECH90,
+                           dt: float = ps(0.5),
+                           window: float = ns(0.8)) -> CellMeasurement:
+    """Measure delay/swing/current of one generated MCML or PG-MCML cell
+    (:func:`characterize_mcml_cells` with a single request)."""
+    return characterize_mcml_cells([(fn, generator, fanout)], tech=tech,
+                                   dt=dt, window=window)[0]
 
 
 def characterize_mcml_dff(generator: McmlCellGenerator,

@@ -156,7 +156,7 @@ class VtAblation:
 
 
 def run_vt_flavors(iss: float = uA(50)) -> VtAblation:
-    from ..cells import characterize_mcml_cell, measure_leakage
+    from ..cells import characterize_mcml_cells, measure_leakage
 
     bias = solve_bias(iss, gated=True)
     base = bias.sizing
@@ -172,10 +172,12 @@ def run_vt_flavors(iss: float = uA(50)) -> VtAblation:
                                load_flavor="pmos_hvt"),
     }
     fn = function("BUF")
+    generators = [PgMcmlCellGenerator(sizing=sizing)
+                  for sizing in variants.values()]
+    measured = characterize_mcml_cells([(fn, generator, 1)
+                                        for generator in generators])
     points: List[VtPoint] = []
-    for name, sizing in variants.items():
-        generator = PgMcmlCellGenerator(sizing=sizing)
-        meas = characterize_mcml_cell(fn, generator, fanout=1)
+    for name, generator, meas in zip(variants, generators, measured):
         sleep = measure_leakage(fn, generator, asleep=True)
         points.append(VtPoint(name=name, delay=meas.delay,
                               sleep_current=sleep,

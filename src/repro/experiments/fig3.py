@@ -16,7 +16,7 @@ from typing import List, Sequence
 
 from ..cells import (
     McmlCellGenerator,
-    characterize_mcml_cell,
+    characterize_mcml_cells,
     function,
     solve_bias,
 )
@@ -82,13 +82,18 @@ class Fig3Result:
 
 
 def run(sweep: Sequence[float] = DEFAULT_SWEEP) -> Fig3Result:
-    points: List[Fig3Point] = []
+    """Solve the bias of every sweep point, then characterise all FO1 and
+    FO4 buffers in one call: they share a topology, so the internal
+    engine runs them as one lockstep batch."""
     fn = function("BUF")
-    for iss in sweep:
-        bias = solve_bias(iss)
-        generator = McmlCellGenerator(sizing=bias.sizing)
-        fo1 = characterize_mcml_cell(fn, generator, fanout=1)
-        fo4 = characterize_mcml_cell(fn, generator, fanout=4)
+    generators = [McmlCellGenerator(sizing=solve_bias(iss).sizing)
+                  for iss in sweep]
+    meas = characterize_mcml_cells([(fn, generator, fanout)
+                                    for generator in generators
+                                    for fanout in (1, 4)])
+    points: List[Fig3Point] = []
+    for k, iss in enumerate(sweep):
+        fo1, fo4 = meas[2 * k], meas[2 * k + 1]
         points.append(Fig3Point(
             iss=iss, delay_fo1=fo1.delay, delay_fo4=fo4.delay,
             swing=fo1.swing, area_um2=buffer_area_um2(iss)))

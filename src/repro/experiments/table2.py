@@ -24,7 +24,7 @@ from ..cells import (
     function,
     PgMcmlCellGenerator,
     solve_bias,
-    characterize_mcml_cell,
+    characterize_mcml_cells,
 )
 from ..cells.library import (
     PAPER_AREA_RATIOS,
@@ -70,8 +70,14 @@ def run(spice_cells: Tuple[str, ...] = DEFAULT_SPICE_CELLS,
     pg = build_pg_mcml_library()
     cmos = build_cmos_library()
 
-    bias = solve_bias(iss, gated=True) if spice_cells else None
-    generator = PgMcmlCellGenerator(sizing=bias.sizing) if bias else None
+    measured = {}
+    if spice_cells:
+        generator = PgMcmlCellGenerator(
+            sizing=solve_bias(iss, gated=True).sizing)
+        # Distinct functions are distinct topologies: one run each.
+        cells = [name for name in PG_MCML_CELL_NAMES if name in spice_cells]
+        measured = dict(zip(cells, characterize_mcml_cells(
+            [(function(name), generator, 1) for name in cells])))
 
     rows: List[Table2Row] = []
     ratios: List[float] = []
@@ -88,8 +94,8 @@ def run(spice_cells: Tuple[str, ...] = DEFAULT_SPICE_CELLS,
             area_ratio=ratio,
             paper_ratio=PAPER_AREA_RATIOS.get(name),
         )
-        if generator is not None and name in spice_cells:
-            meas = characterize_mcml_cell(function(name), generator)
+        meas = measured.get(name)
+        if meas is not None:
             row.spice_delay_ps = meas.delay * 1e12
             row.spice_swing_v = meas.swing
             row.spice_iss_ua = meas.iss * 1e6

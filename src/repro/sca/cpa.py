@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import AttackError
 from .leakage import all_guess_hypotheses, hw_model
-from .ranking import tie_aware_rank, tie_width
+from .ranking import is_unique_best, tie_aware_rank, tie_width
 
 
 def correlation_matrix(traces: np.ndarray,
@@ -170,7 +170,7 @@ class CPAResult:
     def succeeded(self) -> Optional[bool]:
         if self.true_key is None:
             return None
-        return self.best_guess == self.true_key
+        return is_unique_best(self.peak_per_guess, self.true_key)
 
     def rank_of_true_key(self) -> float:
         """0.0 = the true key uniquely has the highest peak.

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..aes.sbox import SBOX
 from ..errors import AttackError
-from .ranking import tie_aware_rank, tie_width
+from .ranking import is_unique_best, tie_aware_rank, tie_width
 
 
 @dataclass
@@ -36,7 +36,7 @@ class DPAResult:
     def succeeded(self) -> Optional[bool]:
         if self.true_key is None:
             return None
-        return self.best_guess == self.true_key
+        return is_unique_best(self.peak_per_guess, self.true_key)
 
     def rank_of_true_key(self) -> float:
         """Tie-aware rank: ties count at their midpoint, so a flat

@@ -35,7 +35,7 @@ from ..aes.sbox import SBOX
 from ..errors import AttackError
 from .cpa import CPAResult, cpa_attack
 from .leakage import hw_model
-from .ranking import tie_aware_rank, tie_width
+from .ranking import is_unique_best, tie_aware_rank, tie_width
 
 #: Cap on samples entering the pairwise product (O(k^2) combined width).
 DEFAULT_COMBINE_SAMPLES = 48
@@ -102,7 +102,7 @@ class MlpaResult:
     def succeeded(self) -> Optional[bool]:
         if self.true_key is None:
             return None
-        return self.best_guess == self.true_key
+        return is_unique_best(self.peak_per_guess, self.true_key)
 
     def rank_of_true_key(self) -> float:
         """Tie-aware rank (0.0 = unique best; flat R² ranks 127.5)."""

@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import AttackError
 from .cpa import prefix_correlations
 from .leakage import hw_model
-from .ranking import tie_aware_rank
+from .ranking import is_unique_best, tie_aware_rank
 
 
 def key_rank(peaks: Sequence[float], true_key: int) -> float:
@@ -60,9 +60,10 @@ def mtd(traces: np.ndarray, plaintexts: Sequence[int], true_key: int,
 
     Evaluates CPA at growing prefixes of the trace set (every ``step``
     traces, and always at the full count) and returns the smallest count
-    from which the true key stays the best guess for ``stable_windows``
-    consecutive evaluations — or ``None`` if the attack never stabilises
-    within the available traces (the protected-logic outcome).  The
+    from which the true key stays the unique best guess (winning an
+    argmax tie is no hit) for ``stable_windows`` consecutive evaluations
+    — or ``None`` if the attack never stabilises within the available
+    traces (the protected-logic outcome).  The
     prefixes are snapshots of one pass of per-plaintext-class
     statistics (:func:`~repro.sca.cpa.prefix_correlations`), so
     ``model`` must be elementwise in the plaintext byte, as
@@ -80,7 +81,7 @@ def mtd(traces: np.ndarray, plaintexts: Sequence[int], true_key: int,
     candidate: Optional[int] = None
     for n, rho in prefix_correlations(traces, pts, prefix_counts(
             traces.shape[0], step), model or hw_model):
-        if int(np.abs(rho).max(axis=1).argmax()) == true_key:
+        if is_unique_best(np.abs(rho).max(axis=1), true_key):
             if streak == 0:
                 candidate = n
             streak += 1

@@ -12,6 +12,8 @@ The standard correction (Standaert et al., the security-evaluation
 framework literature) ranks a guess as the number of strictly better
 guesses plus the midpoint of its tie class: a unique winner still ranks
 0, and a 256-way tie ranks 127.5 regardless of which byte is the key.
+For the same reason an attack succeeds only when the true key is the
+*unique* best guess (:func:`is_unique_best`), never by winning a tie.
 Every ranking in :mod:`repro.sca` — CPA, DPA, MLPA, and the standalone
 :func:`repro.sca.metrics.key_rank` — goes through this module, and the
 tie width is surfaced so a "best guess" produced by an argmax over tied
@@ -59,6 +61,17 @@ def tie_width(scores: Sequence[float], index: int = None) -> int:
         raise AttackError("scores must be a non-empty 1-D vector")
     value = arr.max() if index is None else arr[index]
     return int(np.count_nonzero(arr == value))
+
+
+def is_unique_best(scores: Sequence[float], index: int) -> bool:
+    """Whether ``scores[index]`` beats every other score strictly.
+
+    This is the success test of an attack: an argmax that merely lands
+    on ``index`` inside a tie (a flat trace set ties all 256 guesses)
+    is not a key hit.  Equivalent to a tie-aware rank of exactly 0.
+    """
+    arr = np.asarray(scores, dtype=float)
+    return int(np.count_nonzero(arr >= arr[index])) == 1
 
 
 def rank_and_ties(scores: Sequence[float],

@@ -21,12 +21,13 @@ on machines without the binary — callers that can degrade do so through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ...errors import BackendError
 from ..circuit import Circuit
 from ..dc import OperatingPoint
 from ..dc import solve_dc as _internal_solve_dc
+from ..batch import run_transient_batch as _internal_run_transient_batch
 from ..transient import TransientResult
 from ..transient import run_transient as _internal_run_transient
 
@@ -88,6 +89,21 @@ class SimulatorBackend:
                       telemetry=None, **kwargs) -> TransientResult:
         raise NotImplementedError
 
+    def run_transient_batch(self, circuits: Sequence[Circuit], tstop: float,
+                            dt: float, record: Optional[Sequence[str]] = None,
+                            telemetry=None,
+                            **kwargs) -> List[TransientResult]:
+        """One :meth:`run_transient` per circuit, results in input order.
+
+        The circuits share ``tstop``, ``dt``, ``record`` and every other
+        option.  This default runs them one at a time, which is what an
+        external simulator does; the internal engine marches
+        same-topology circuits in lockstep instead.
+        """
+        return [self.run_transient(circuit, tstop, dt, record=record,
+                                   telemetry=telemetry, **kwargs)
+                for circuit in circuits]
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"
 
@@ -97,8 +113,9 @@ class InternalBackend(SimulatorBackend):
 
     A thin delegation layer: same functions, same defaults, same
     telemetry threading — byte-identical to calling
-    :func:`repro.spice.solve_dc` / :func:`repro.spice.run_transient`
-    directly, which is what the dispatch seam's equivalence tests pin.
+    :func:`repro.spice.solve_dc` / :func:`repro.spice.run_transient` /
+    :func:`repro.spice.run_transient_batch` directly, which is what the
+    dispatch seam's equivalence tests pin.
     """
 
     name = "internal"
@@ -117,6 +134,20 @@ class InternalBackend(SimulatorBackend):
                       telemetry=None, **kwargs) -> TransientResult:
         return _internal_run_transient(circuit, tstop, dt, record=record,
                                        telemetry=telemetry, **kwargs)
+
+    def run_transient_batch(self, circuits: Sequence[Circuit], tstop: float,
+                            dt: float, record: Optional[Sequence[str]] = None,
+                            telemetry=None,
+                            **kwargs) -> List[TransientResult]:
+        """Lockstep batch (:func:`repro.spice.run_transient_batch`); a
+        single circuit takes :meth:`run_transient` exactly as before."""
+        circuits = list(circuits)
+        if len(circuits) == 1:
+            return [self.run_transient(circuits[0], tstop, dt, record=record,
+                                       telemetry=telemetry, **kwargs)]
+        return _internal_run_transient_batch(circuits, tstop, dt,
+                                             record=record,
+                                             telemetry=telemetry, **kwargs)
 
 
 def get_backend(name: str, **options) -> SimulatorBackend:

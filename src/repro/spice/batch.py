@@ -1,8 +1,11 @@
 """Lockstep batched transient analysis across independent circuits.
 
-A CPA/TVLA campaign re-solves the *same* topology thousands of times
-with only the stimulus (and possibly device parameters) differing.  This
-module extends the device banks (:mod:`repro.spice.banks`) with a batch
+Cell characterisation re-solves the *same* topology many times with
+only device parameters, loads and source levels differing: Fig. 3's
+buffer sweep is 18 such transients, which
+:func:`repro.cells.characterize_mcml_cells` groups by
+:func:`lockstep_signature` and runs here as one batch.  This module
+extends the device banks (:mod:`repro.spice.banks`) with a batch
 axis: B circuits sharing one topology are evaluated as ``(B, M)`` device
 stacks, their residuals and Jacobians assembled into ``(B, n)`` /
 ``(B, n, n)`` stacks, and every Newton iteration factors all lanes with
@@ -35,6 +38,10 @@ event) happens when the batch axis cannot apply at all: un-banked custom
 device classes (fault-injection proxies), an ``on_step`` hook,
 ``REPRO_SPICE_ASSEMBLY=loop``, no unknowns, or lanes whose topologies
 do not actually match.
+
+Results are views into lane-major ``(B, k, T)`` stores that hold only
+the recorded nodes and the source currents, so a batch keeps no
+full-state history and copies nothing per lane.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import BudgetExhaustedError, CircuitError, ConvergenceError
+from ..errors import CircuitError, ConvergenceError
 from ..obs import NULL_TELEMETRY
 from .banks import FD_STEP
 from .circuit import Circuit, canonical_node
@@ -54,14 +61,37 @@ from .recovery import _ATTEMPT_MAXITER, SolveBudget
 from .transient import TransientResult, TransientStats, _CompanionCaps, \
     _ringing_mask, _time_grid, run_transient
 
+#: What each element of a :func:`lockstep_signature` covers, in order.
+_SIGNATURE_PARTS = ("device classes/terminals", "node partition", "sources",
+                    "stimulus breakpoints", "capacitor connectivity")
+
+
+def lockstep_signature(circuit: Circuit) -> tuple:
+    """Hashable summary of what lockstep marching needs lanes to share.
+
+    Two circuits can march in one batch exactly when their signatures
+    are equal: the same device classes on the same terminals, the same
+    unknown/fixed node partition, the same source names and nodes, the
+    same stimulus breakpoints (one shared time grid) and the same
+    capacitor connectivity.  Device parameters, source levels and
+    capacitance values may differ per lane.
+    """
+    return (
+        tuple((type(d), tuple(d.terminals)) for d in circuit.devices),
+        (tuple(circuit.unknown_nodes()), tuple(circuit.fixed_nodes())),
+        tuple((s.name, s.node) for s in circuit.vsources),
+        tuple(circuit.stimulus_breakpoints()),
+        tuple((a, b) for a, b, _ in circuit.linear_capacitances()),
+    )
+
+
 class BatchSystem:
     """Bank-indexed view of B circuits sharing one topology.
 
     The first circuit is the *template*: its :class:`System` supplies the
     node indices, scatter plans, and packed-voltage layout for every
-    lane.  Construction validates that all lanes really are the same
-    topology (device classes and terminals, node sets, source names,
-    stimulus breakpoints) and harvests per-lane device parameters, which
+    lane.  Construction validates that every lane has the template's
+    :func:`lockstep_signature` and harvests per-lane device parameters, which
     are collapsed back to the template's shared vectors when no lane
     differs (the common case — only the stimulus varies).
     """
@@ -97,40 +127,18 @@ class BatchSystem:
     # -- construction --------------------------------------------------------
 
     def _validate_lockstep(self) -> None:
-        tpl = self.circuits[0]
-        tpl_devs = [(type(d), tuple(d.terminals)) for d in tpl.devices]
-        tpl_unknowns = tpl.unknown_nodes()
-        tpl_fixed = list(tpl.fixed_nodes())
-        tpl_sources = [(s.name, s.node) for s in tpl.vsources]
-        tpl_breaks = tuple(tpl.stimulus_breakpoints())
-        tpl_caps = [(a, b) for a, b, _ in tpl.linear_capacitances()]
+        tpl = lockstep_signature(self.circuits[0])
         for i, ckt in enumerate(self.circuits[1:], start=1):
             ckt.validate()
-            lane_devs = [(type(d), tuple(d.terminals)) for d in ckt.devices]
-            if lane_devs != tpl_devs:
-                raise CircuitError(
-                    f"batch lane {i} ({ckt.name!r}) differs from the "
-                    f"template topology: device classes/terminals do not "
-                    f"match", context={"lane": i})
-            if ckt.unknown_nodes() != tpl_unknowns \
-                    or list(ckt.fixed_nodes()) != tpl_fixed:
-                raise CircuitError(
-                    f"batch lane {i} ({ckt.name!r}) has a different node "
-                    f"partition than the template", context={"lane": i})
-            if [(s.name, s.node) for s in ckt.vsources] != tpl_sources:
-                raise CircuitError(
-                    f"batch lane {i} ({ckt.name!r}) has different sources "
-                    f"than the template", context={"lane": i})
-            if tuple(ckt.stimulus_breakpoints()) != tpl_breaks:
-                raise CircuitError(
-                    f"batch lane {i} ({ckt.name!r}) has different stimulus "
-                    f"breakpoints than the template; lockstep marching "
-                    f"needs one shared time grid", context={"lane": i})
-            if [(a, b) for a, b, _ in ckt.linear_capacitances()] != tpl_caps:
-                raise CircuitError(
-                    f"batch lane {i} ({ckt.name!r}) has different "
-                    f"capacitor connectivity than the template",
-                    context={"lane": i})
+            sig = lockstep_signature(ckt)
+            if sig == tpl:
+                continue
+            part = next(name for name, mine, theirs
+                        in zip(_SIGNATURE_PARTS, sig, tpl) if mine != theirs)
+            raise CircuitError(
+                f"batch lane {i} ({ckt.name!r}) differs from the template "
+                f"in its {part}; lockstep marching needs one topology and "
+                f"one time grid", context={"lane": i, "part": part})
 
     def _harvest_params(self) -> Optional[list]:
         """Per-bank parameter stacks, or ``None`` when all lanes match."""
@@ -316,34 +324,33 @@ class _BatchCaps:
 
     The template's :class:`~repro.spice.transient._CompanionCaps` supplies
     the entry list and packed indices; this class stacks the per-lane
-    capacitance values and trapezoidal history currents ``(B, E)`` and
-    precomputes dense deposit operators so a whole batch's companion
-    residual and Jacobian are two matmuls.
+    capacitance values and trapezoidal history currents ``(B, E)``.
+
+    Every deposit repeats the serial engine's arithmetic for each lane:
+    the Jacobian stamps and the source-current totals are ordered
+    bincounts that add in the serial order, and the dense residual is
+    the serial ``(n, E) @ (E,)`` product per lane.  A batched matmul
+    would sum the same terms in another order and move lanes by an ulp.
     """
 
     def __init__(self, system: System, circuits: Sequence[Circuit]):
         tpl = _CompanionCaps(system, circuits[0])
         self.entries = tpl.entries
         self.ja, self.jb = tpl.ja, tpl.jb
-        self._s_extra = tpl._s_extra            # (n, E) residual incidence
+        self._s_extra = tpl._s_extra    # (n, E); None in sparse mode
+        self._rows_a, self._rows_b = tpl._rows_a, tpl._rows_b
+        self._ua, self._ub = tpl._ua, tpl._ub
         n = system.n
-        e = len(self.entries)
-        self._sparse = system.assembly == "sparse"
-        if self._s_extra is None:
-            # Sparse mode skips the serial (n, E) incidence at full-core
-            # scale; batch lanes are per-trace testbenches, where it is
-            # affordable and keeps the batched residual a single dgemm.
-            self._s_extra = np.zeros((n, e))
-            for k, (ia, _, ib, _, _) in enumerate(self.entries):
-                if ia >= 0:
-                    self._s_extra[ia, k] += 1.0
-                if ib >= 0:
-                    self._s_extra[ib, k] -= 1.0
-        if self._sparse:
-            self._sp_pos = tpl._sparse_positions()
-            self._sp_ua, self._sp_ub = tpl._ua, tpl._ub
-            self._sp_both = tpl._both
-            self._nnz = system.sparse_assembly().nnz
+        if system.assembly == "sparse":
+            self._jac_pos = tpl._sparse_positions()
+            self._jac_shape = (system.sparse_assembly().nnz,)
+        else:
+            self._jac_pos = np.concatenate([
+                tpl._rows_a * n + tpl._rows_a, tpl._rows_b * n + tpl._rows_b,
+                tpl._rows_ab * n + tpl._cols_ab,
+                tpl._cols_ab * n + tpl._rows_ab]).astype(np.int64)
+            self._jac_shape = (n, n)
+        self._both = tpl._both
         cvecs = []
         for ckt in circuits:
             vals = [c for a, b, c in ckt.linear_capacitances()
@@ -352,29 +359,24 @@ class _BatchCaps:
             cvecs.append(np.array(vals) if vals else np.zeros(0))
         self.cvec = cvecs[0] if all(np.array_equal(v, cvecs[0])
                                     for v in cvecs[1:]) else np.stack(cvecs)
-        # Jacobian incidence (n*n, E): geq @ s_jac.T stamps all lanes.
-        # In sparse mode the stamps land in (A, nnz) data stacks through
-        # the canonical positions instead.
-        self._s_jac = None
-        if not self._sparse:
-            self._s_jac = np.zeros((n * n, e))
-            for k, (ia, _, ib, _, _) in enumerate(self.entries):
-                if ia >= 0:
-                    self._s_jac[ia * n + ia, k] += 1.0
-                if ib >= 0:
-                    self._s_jac[ib * n + ib, k] += 1.0
-                if ia >= 0 and ib >= 0:
-                    self._s_jac[ia * n + ib, k] -= 1.0
-                    self._s_jac[ib * n + ia, k] -= 1.0
-        # Fixed-node incidence (F, E) for source-current snapshots.
-        nf = len(system.fixed_pos)
-        self._s_fixed = np.zeros((nf, e))
+        # Fixed-node deposits in the serial loop's order (entry by
+        # entry, the a end before the b end), for source-current
+        # snapshots.
+        fx_pos, fx_entry, fx_sign = [], [], []
         for k, (ia, na, ib, nb, _) in enumerate(self.entries):
             if ia < 0 and na in system.fixed_pos:
-                self._s_fixed[system.fixed_pos[na], k] += 1.0
+                fx_pos.append(system.fixed_pos[na])
+                fx_entry.append(k)
+                fx_sign.append(1.0)
             if ib < 0 and nb in system.fixed_pos:
-                self._s_fixed[system.fixed_pos[nb], k] -= 1.0
-        self.i_prev = np.zeros((len(circuits), e))
+                fx_pos.append(system.fixed_pos[nb])
+                fx_entry.append(k)
+                fx_sign.append(-1.0)
+        self._fx_pos = np.array(fx_pos, dtype=np.int64)
+        self._fx_entry = np.array(fx_entry, dtype=np.int64)
+        self._fx_sign = np.array(fx_sign)
+        self._nf = len(system.fixed_pos)
+        self.i_prev = np.zeros((len(circuits), len(self.entries)))
         self.n = n
 
     def lane_cvec(self, lane_ids: np.ndarray) -> np.ndarray:
@@ -390,6 +392,22 @@ class _BatchCaps:
         """Companion conductances ``factor * c / dt``, ``(A, E)``."""
         return (factors[:, None] * self.lane_cvec(lane_ids)) / dts[:, None]
 
+    def _residual(self, i_now: np.ndarray) -> np.ndarray:
+        """KCL deposit of the companion currents, ``(A, n)``."""
+        a, n = i_now.shape[0], self.n
+        if self._s_extra is not None:
+            f = np.empty((a, n))
+            for lane in range(a):
+                f[lane] = self._s_extra @ i_now[lane]
+            return f
+        base = np.arange(a)[:, None] * n
+        size = a * n
+        f = np.bincount((base + self._rows_a).ravel(),
+                        weights=i_now[:, self._ua].ravel(), minlength=size)
+        f -= np.bincount((base + self._rows_b).ravel(),
+                         weights=i_now[:, self._ub].ravel(), minlength=size)
+        return f.reshape(a, n)
+
     def make_extra(self, xs_prev: np.ndarray, tails_prev: np.ndarray,
                    tails_now: np.ndarray, dts: np.ndarray,
                    factors: np.ndarray, lane_ids: np.ndarray):
@@ -401,32 +419,26 @@ class _BatchCaps:
         """
         a, n = xs_prev.shape[0], self.n
         if not self.entries:
-            if self._sparse:
-                return lambda xs, sel: (np.zeros((xs.shape[0], n)),
-                                        np.zeros((xs.shape[0], self._nnz)))
-            return lambda xs, sel: (np.zeros((xs.shape[0], n)),
-                                    np.zeros((xs.shape[0], n, n)))
+            jac = np.zeros((a, *self._jac_shape))
+            return lambda xs, sel: (np.zeros((xs.shape[0], n)), jac[sel])
         v_prev = self.v_diff(xs_prev, tails_prev)
         i_prev = self.i_prev[lane_ids]
         geq = self.geq(factors, dts, lane_ids)
-        if self._sparse:
-            w = np.concatenate([geq[:, self._sp_ua], geq[:, self._sp_ub],
-                                -geq[:, self._sp_both],
-                                -geq[:, self._sp_both]], axis=1)
-            rows = np.arange(a)[:, None] * self._nnz + self._sp_pos
-            jac = np.bincount(rows.ravel(), weights=w.ravel(),
-                              minlength=a * self._nnz).reshape(a, self._nnz)
-        else:
-            jac = (geq @ self._s_jac.T).reshape(a, n, n)
+        stamp = np.concatenate([geq[:, self._ua], geq[:, self._ub],
+                                -geq[:, self._both], -geq[:, self._both]],
+                               axis=1)
+        cells = int(np.prod(self._jac_shape))
+        rows = np.arange(a)[:, None] * cells + self._jac_pos
+        jac = np.bincount(rows.ravel(), weights=stamp.ravel(),
+                          minlength=a * cells).reshape(a, *self._jac_shape)
         trap = factors == 2.0
         ja, jb = self.ja, self.jb
-        s_extra_t = self._s_extra.T
 
         def extra(xs: np.ndarray, sel: np.ndarray):
             v = np.concatenate([xs, tails_now[sel]], axis=1)
             i_now = geq[sel] * ((v[:, ja] - v[:, jb]) - v_prev[sel])
             i_now = np.where(trap[sel, None], i_now - i_prev[sel], i_now)
-            return i_now @ s_extra_t, jac[sel]
+            return self._residual(i_now), jac[sel]
 
         return extra
 
@@ -447,14 +459,17 @@ class _BatchCaps:
         trap = factors == 2.0
         return np.where(trap[:, None], i_new - self.i_prev[lane_ids], i_new)
 
-    def commit_currents(self, lane_ids: np.ndarray,
-                        i_new: np.ndarray) -> None:
+    def commit_currents(self, lane: int, i_new: np.ndarray) -> None:
         """Store accepted currents; exactly once per accepted lane step."""
-        self.i_prev[lane_ids] = i_new
+        self.i_prev[lane] = i_new
 
     def fixed_totals(self) -> np.ndarray:
         """Capacitor current drawn out of each fixed node, ``(B, F)``."""
-        return self.i_prev @ self._s_fixed.T
+        nb = self.i_prev.shape[0]
+        rows = np.arange(nb)[:, None] * self._nf + self._fx_pos
+        weights = self._fx_sign * self.i_prev[:, self._fx_entry]
+        return np.bincount(rows.ravel(), weights=weights.ravel(),
+                           minlength=nb * self._nf).reshape(nb, self._nf)
 
 
 class _Lane:
@@ -497,8 +512,13 @@ def run_transient_batch(circuits: Sequence[Circuit], tstop: float, dt: float,
     Parameters match :func:`~repro.spice.transient.run_transient` with a
     list of circuits (and optionally a list of initial operating points)
     in place of one.  Returns one :class:`TransientResult` per lane, in
-    input order, equal to the serial engine's output to batched-BLAS
-    rounding (≤1e-12; see ``tests/test_spice_batch.py``).
+    input order, equal to the serial engine's output to ≤1e-12 (see
+    ``tests/test_spice_batch.py``).  The capacitor companion deposits
+    repeat the serial arithmetic exactly; the device-bank deposits are
+    one matmul per batch, which can sum a node's terms in another order
+    than the serial matrix-vector product.  On the characterisation
+    buffers the two orders agree and lanes equal serial bit for bit
+    (``tests/test_characterize_batch.py``).
 
     Falls back to per-lane serial runs — with a ``spice.batch.fallback``
     telemetry event — whenever the batch axis cannot apply: un-banked
@@ -509,6 +529,17 @@ def run_transient_batch(circuits: Sequence[Circuit], tstop: float, dt: float,
     only if the serial retry fails too.
     """
     circuits = list(circuits)
+    # Argument errors raise the same way on every branch below, the
+    # serial fallbacks included.
+    if tstop <= 0.0 or dt <= 0.0:
+        raise CircuitError("tstop and dt must be positive")
+    if method not in ("be", "trap"):
+        raise CircuitError(f"unknown integration method {method!r}")
+    if max_step_halvings < 0:
+        raise CircuitError("max_step_halvings must be >= 0")
+    if ics is not None and len(ics) != len(circuits):
+        raise CircuitError(
+            f"ics has {len(ics)} entries for {len(circuits)} circuits")
     if not circuits:
         return []
     tele = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -531,21 +562,12 @@ def run_transient_batch(circuits: Sequence[Circuit], tstop: float, dt: float,
         return serial_all("on_step-hook")
     if os.environ.get(_ASSEMBLY_ENV, "bank") == "loop":
         return serial_all("assembly=loop")
-    if ics is not None and len(ics) != len(circuits):
-        raise CircuitError(
-            f"ics has {len(ics)} entries for {len(circuits)} circuits")
     try:
         bs = BatchSystem(circuits, telemetry=tele)
     except CircuitError as err:
         return serial_all(f"unbatchable: {err.args[0][:120]}")
     if bs.system.n == 0:
         return serial_all("no-unknowns")
-    if tstop <= 0.0 or dt <= 0.0:
-        raise CircuitError("tstop and dt must be positive")
-    if method not in ("be", "trap"):
-        raise CircuitError(f"unknown integration method {method!r}")
-    if max_step_halvings < 0:
-        raise CircuitError("max_step_halvings must be >= 0")
 
     nb = len(circuits)
     system = bs.system
@@ -637,27 +659,30 @@ def _march(bs: BatchSystem, tstop: float, dt: float,
         lane.fixed = f0
         lane.tail = t0
 
-    fixed_names = list(fixed0[0])
-    src_pos = {s.name: system.fixed_pos[s.node] for s in template.vsources}
-    rec_unknown = {node: system.index[c] for node, c in canon_of.items()
-                   if c in system.index}
-    rec_fixed = {node: system.fixed_pos[c] for node, c in canon_of.items()
-                 if c not in system.index}
+    # Lane-major stores of only what the results carry: each recorded
+    # waveform is one contiguous row that its lane's result views, so no
+    # full-state history is kept and nothing is copied per lane.
+    src_names = [s.name for s in template.vsources]
+    src_cols = [system.fixed_pos[s.node] for s in template.vsources]
+    canon = [canon_of[node] for node in record_nodes]
+    unk_rows = [j for j, c in enumerate(canon) if c in system.index]
+    unk_cols = [system.index[canon[j]] for j in unk_rows]
+    fix_rows = [j for j, c in enumerate(canon) if c not in system.index]
+    fix_cols = [system.fixed_pos[canon[j]] for j in fix_rows]
+    volt_store = np.empty((nb, len(record_nodes), len(grid)))
+    src_store = np.empty((nb, len(src_names), len(grid)))
 
-    snap_x: List[np.ndarray] = []
-    snap_tail: List[np.ndarray] = []
-    snap_src: List[np.ndarray] = []
-
-    def snapshot() -> None:
+    def snapshot(k: int) -> None:
         xs_now = np.stack([lane.x for lane in lanes])
         tails_now = np.stack([lane.tail for lane in lanes])
         dev = bs.fixed_totals_batch(xs_now, tails_now, all_ids)
         totals = dev + caps.fixed_totals()
-        snap_x.append(xs_now)
-        snap_tail.append(tails_now)
-        snap_src.append(totals)
+        volts = volt_store[:, :, k]
+        volts[:, unk_rows] = xs_now[:, unk_cols]
+        volts[:, fix_rows] = tails_now[:, fix_cols]
+        src_store[:, :, k] = totals[:, src_cols]
 
-    snapshot()
+    snapshot(0)
     for gi in range(1, len(grid)):
         t0, t1 = float(grid[gi - 1]), float(grid[gi])
         live = [lane for lane in lanes if lane.failed is None]
@@ -677,26 +702,19 @@ def _march(bs: BatchSystem, tstop: float, dt: float,
                 break
             _lockstep_round(bs, caps, round_lanes, method, be_fallback,
                             detect_ringing, max_step_halvings, budget, tele)
-        snapshot()
+        snapshot(gi)
 
-    # -- per-lane results ----------------------------------------------------
-    x_series = np.stack(snap_x)          # (T, B, n)
-    tail_series = np.stack(snap_tail)    # (T, B, F)
-    src_series = np.stack(snap_src)      # (T, B, F)
+    # -- per-lane results: views into the stores -----------------------------
     results: List[Optional[TransientResult]] = []
     for lane in lanes:
         if lane.failed is not None:
             results.append(None)
             continue
         i = lane.idx
-        voltages = {}
-        for node in record_nodes:
-            if node in rec_unknown:
-                voltages[node] = x_series[:, i, rec_unknown[node]].copy()
-            else:
-                voltages[node] = tail_series[:, i, rec_fixed[node]].copy()
-        currents = {name: src_series[:, i, pos].copy()
-                    for name, pos in src_pos.items()}
+        voltages = {node: volt_store[i, j]
+                    for j, node in enumerate(record_nodes)}
+        currents = {name: src_store[i, j]
+                    for j, name in enumerate(src_names)}
         results.append(TransientResult(grid, voltages, currents,
                                        stats=lane.stats))
     return results
@@ -746,7 +764,7 @@ def _lockstep_round(bs: BatchSystem, caps: _BatchCaps,
                 # converged trap solution (serial does the same).
                 x_trap, i_trap = lane.redo
                 lane.redo = None
-                caps.commit_currents(np.array([lane.idx]), i_trap[None, :])
+                caps.commit_currents(lane.idx, i_trap)
                 _accept(lane, x_trap, budget, tele)
                 continue
             if lane.fallback:
@@ -780,7 +798,7 @@ def _lockstep_round(bs: BatchSystem, caps: _BatchCaps,
             # This round WAS the BE redo: commit its currents, accept.
             lane.redo = None
             stats.ringing_fallback_steps += 1
-            caps.commit_currents(np.array([lane.idx]), i_cand[a][None, :])
+            caps.commit_currents(lane.idx, i_cand[a])
             _accept(lane, xs_new[a], budget, tele)
             continue
         if ringing[a] and lane.round_method == "trap":
@@ -792,7 +810,7 @@ def _lockstep_round(bs: BatchSystem, caps: _BatchCaps,
         if lane.fallback:
             lane.fallback = False
             stats.be_fallback_steps += 1
-        caps.commit_currents(np.array([lane.idx]), i_cand[a][None, :])
+        caps.commit_currents(lane.idx, i_cand[a])
         _accept(lane, xs_new[a], budget, tele)
 
 

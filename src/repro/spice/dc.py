@@ -19,7 +19,6 @@ from ..errors import CircuitError, ConvergenceError
 from ..obs import NULL_TELEMETRY
 from .banks import FD_STEP, BankAssembly
 from .circuit import Circuit, canonical_node
-from .opcache import default_op_cache
 from .sparse import SparseAssembly
 from .recovery import (
     GMIN_LADDER,
@@ -408,8 +407,7 @@ def solve_dc(circuit: Circuit, t: float = 0.0,
              system: Optional[System] = None,
              policy: Optional[RecoveryPolicy] = None,
              telemetry=None,
-             budget: Optional[SolveBudget] = None,
-             op_cache=None) -> OperatingPoint:
+             budget: Optional[SolveBudget] = None) -> OperatingPoint:
     """Find the DC operating point of ``circuit`` at source time ``t``.
 
     Tries plain Newton from a midpoint guess first, then climbs the
@@ -427,37 +425,10 @@ def solve_dc(circuit: Circuit, t: float = 0.0,
     bounds the solve; exhaustion raises
     :class:`~repro.errors.BudgetExhaustedError` instead of spinning on a
     stiff circuit.
-
-    ``op_cache`` (default: ``REPRO_OP_CACHE`` via
-    :func:`~repro.spice.opcache.default_op_cache`, off when unset)
-    short-circuits repeated solves of content-identical circuits at the
-    same bias — see :mod:`repro.spice.opcache` for the fingerprint and
-    invalidation contract.  Solves under a custom recovery ``policy``
-    bypass the cache (the policy steers the trajectory but is not part
-    of the key).
     """
     sys_ = system if system is not None else System(circuit,
                                                     telemetry=telemetry)
     tele = telemetry if telemetry is not None else sys_.telemetry
-    if op_cache is None:
-        op_cache = default_op_cache()
-    cache_key = None
-    if op_cache is not None:
-        if policy is not None:
-            op_cache.bypasses += 1
-            tele.counter("spice.opcache.bypasses").inc()
-        else:
-            cache_key = op_cache.fingerprint(circuit, t, guess,
-                                             sys_.assembly)
-            if cache_key is None:
-                op_cache.bypasses += 1
-                tele.counter("spice.opcache.bypasses").inc()
-            else:
-                hit = op_cache.lookup(cache_key)
-                if hit is not None:
-                    tele.counter("spice.opcache.hits").inc()
-                    return hit
-                tele.counter("spice.opcache.misses").inc()
     fixed = circuit.fixed_nodes(t)
     x0 = _initial_guess(sys_, fixed)
     if guess:
@@ -492,9 +463,5 @@ def solve_dc(circuit: Circuit, t: float = 0.0,
         source.name: node_currents.get(source.node, 0.0)
         for source in circuit.vsources
     }
-    op = OperatingPoint(voltages, source_currents,
-                        diagnostics=diagnostics)
-    if cache_key is not None:
-        op_cache.store(cache_key, op)
-        tele.counter("spice.opcache.stores").inc()
-    return op
+    return OperatingPoint(voltages, source_currents,
+                          diagnostics=diagnostics)

@@ -402,73 +402,3 @@ class TestFailureTaxonomy:
         back = json.loads(line)
         assert back["ok"] is False
         assert back["findings"][0]["rule"] == "floating-node"
-
-
-class TestOpCacheFaultInjection:
-    """The operating-point cache must never serve a faulted circuit.
-
-    Content addressing is the invalidation mechanism: arming a
-    :class:`FaultInjector` swaps real devices for :class:`FaultyDevice`
-    proxies, whose class the fingerprint does not recognise — so an
-    armed circuit bypasses the cache entirely (no stale hit, no
-    poisoned store), and disarming restores the original content key.
-    """
-
-    def _bench(self):
-        ckt = Circuit("opcache_fault")
-        ckt.v("vs", "a", 1.0)
-        ckt.resistor("r1", "a", "b", 1e3)
-        ckt.resistor("r2", "b", "0", 1e3)
-        return ckt
-
-    def test_armed_faults_bypass_disarm_restores(self):
-        from repro.spice import OperatingPointCache
-        cache = OperatingPointCache()
-        ckt = self._bench()
-        baseline = solve_dc(ckt, op_cache=cache)
-        assert cache.counters()["stores"] == 1
-
-        injector = FaultInjector(ckt, [Fault("r2", "perturb",
-                                             magnitude=1e-4)])
-        with injector:
-            faulted = solve_dc(ckt, op_cache=cache)
-            # The proxy cannot be fingerprinted: bypass, not hit/store.
-            assert cache.bypasses == 1
-            assert cache.hits == 0
-            assert len(cache) == 1
-        assert faulted.voltages["b"] != pytest.approx(
-            baseline.voltages["b"], rel=1e-6)
-
-        restored = solve_dc(ckt, op_cache=cache)
-        assert cache.hits == 1
-        assert restored.voltages == baseline.voltages
-
-    def test_swap_survivor_is_a_different_key(self):
-        """A fault that permanently swaps a device value must miss."""
-        from repro.spice import OperatingPointCache
-        from repro.spice.devices import Resistor as R
-        cache = OperatingPointCache()
-        ckt = self._bench()
-        solve_dc(ckt, op_cache=cache)
-        ckt.swap_device("r2", R("r2", "b", "0", 2e3))
-        solve_dc(ckt, op_cache=cache)
-        assert cache.hits == 0 and cache.misses == 2 and len(cache) == 2
-
-    def test_transient_with_faults_and_cache_env(self, monkeypatch):
-        """REPRO_OP_CACHE=1 + armed faults: the run completes and the
-        default cache records only bypasses for the faulted circuit."""
-        from repro.spice import OP_CACHE_ENV, default_op_cache
-        from repro.spice import opcache as opcache_mod
-        monkeypatch.setenv(OP_CACHE_ENV, "1")
-        monkeypatch.setattr(opcache_mod, "_DEFAULT_CACHE", None)
-        ckt = self._bench()
-        ckt.capacitor("cb", "b", "0", 1e-13)
-        injector = FaultInjector(ckt, [Fault("r1", "open",
-                                             t_start=2e-9, t_stop=4e-9)])
-        with injector:
-            res = run_transient(ckt, tstop=6e-9, dt=2e-10,
-                                on_step=injector.set_time)
-        cache = default_op_cache()
-        assert cache is not None
-        assert cache.bypasses >= 1 and cache.hits == 0 and len(cache) == 0
-        assert np.all(np.isfinite(res.wave("b").v))

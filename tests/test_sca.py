@@ -6,6 +6,8 @@ import pytest
 from repro.aes import SBOX
 from repro.errors import AttackError
 from repro.sca import (
+    DPAResult,
+    MlpaResult,
     cpa_attack,
     correlation_matrix,
     dpa_attack,
@@ -233,3 +235,45 @@ class TestConstantColumnsReadExactlyZero:
     def test_identical_flat_groups_do_not_leak(self, value, n_a, n_b):
         t = welch_t(np.full((n_a, 3), value), np.full((n_b, 3), value))
         assert np.all(t == 0.0)
+
+
+class TestTiedArgmaxIsNoHit:
+    """On flat traces every guess ties; ``argmax`` then lands on guess 0,
+    which must not count as disclosing key 0 (and only key 0)."""
+
+    FLAT = np.full((64, 4), 3e-6)
+
+    @pytest.mark.parametrize("key", [0, 5])
+    def test_flat_mtd_never_discloses(self, key):
+        assert mtd(self.FLAT, range(64), true_key=key, step=16) is None
+
+    @pytest.mark.parametrize("key", [0, 5])
+    def test_flat_cpa_does_not_succeed(self, key):
+        result = cpa_attack(self.FLAT, list(range(64)), true_key=key)
+        assert result.best_guess == 0
+        assert result.best_guess_tie_width() == 256
+        assert result.succeeded is False
+
+    @pytest.mark.parametrize("key", [0, 5])
+    def test_tied_dpa_and_mlpa_do_not_succeed(self, key):
+        flat = np.zeros((256, 4))
+        for result in (DPAResult(differentials=flat, best_guess=0,
+                                 target_bit=0, true_key=key),
+                       MlpaResult(r2=flat, best_guess=0, degree=2,
+                                  true_key=key)):
+            assert result.succeeded is False
+            assert result.rank_of_true_key() == 127.5
+
+    def test_tie_broken_in_favour_of_the_key_succeeds(self):
+        scores = np.zeros((256, 4))
+        scores[0, 2] = 0.5
+        assert DPAResult(differentials=scores, best_guess=0, target_bit=0,
+                         true_key=0).succeeded
+        assert MlpaResult(r2=scores, best_guess=0, degree=2,
+                          true_key=0).succeeded
+
+    def test_unique_winner_still_succeeds(self):
+        traces, pts = synthetic_traces(key=0x00, n_traces=240, gain=2.0,
+                                       noise=0.3)
+        assert cpa_attack(traces, pts, true_key=0x00).succeeded
+        assert mtd(traces, pts, true_key=0x00, step=40) is not None

@@ -40,6 +40,7 @@ from repro.spice import (
     SolveBudget,
     run_transient,
     run_transient_batch,
+    solve_dc,
 )
 from repro.spice.dc import _ASSEMBLY_ENV
 from repro.spice.transient import (
@@ -397,6 +398,52 @@ class TestSerialFallback:
             run_transient_batch(rc_lanes([1]), 1e-9, 1e-10,
                                 record=["nope"])
         assert run_transient_batch([], 1e-9, 1e-10) == []
+
+
+class TestValidationOnEveryBranch:
+    """Argument errors are raised before any serial-fallback branch, so
+    every branch rejects the same calls the same way."""
+
+    @staticmethod
+    def _mismatched():
+        a, b = rc_lane(), rc_lane()
+        b.resistor("r2", "out", "0", 1e6)
+        return [a, b]
+
+    @pytest.fixture(params=["batched", "on_step", "loop", "unbatchable"])
+    def branch(self, request, monkeypatch):
+        """(two lanes, extra kwargs) reaching the named branch."""
+        kwargs = {}
+        lanes = rc_lanes([1, 2])
+        if request.param == "on_step":
+            kwargs["on_step"] = lambda t: None
+        elif request.param == "loop":
+            monkeypatch.setenv(_ASSEMBLY_ENV, "loop")
+        elif request.param == "unbatchable":
+            lanes = self._mismatched()
+        return lanes, kwargs
+
+    def test_short_ics(self, branch):
+        lanes, kwargs = branch
+        op = solve_dc(lanes[0])
+        with pytest.raises(CircuitError, match="ics has 1 entries for 2"):
+            run_transient_batch(lanes, 1e-9, 1e-10, ics=[op], **kwargs)
+
+    def test_long_ics(self, branch):
+        lanes, kwargs = branch
+        op = solve_dc(lanes[0])
+        with pytest.raises(CircuitError, match="ics has 3 entries for 2"):
+            run_transient_batch(lanes, 1e-9, 1e-10, ics=[op] * 3, **kwargs)
+
+    @pytest.mark.parametrize("bad", [dict(tstop=0.0), dict(dt=-1e-10),
+                                     dict(method="gear"),
+                                     dict(max_step_halvings=-1)])
+    def test_bad_arguments(self, branch, bad):
+        lanes, kwargs = branch
+        args = dict(tstop=1e-9, dt=1e-10)
+        args.update(bad)
+        with pytest.raises(CircuitError):
+            run_transient_batch(lanes, **args, **kwargs)
 
 
 class TestLaneIsolation:

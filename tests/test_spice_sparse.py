@@ -23,7 +23,6 @@ a supply-current transient of the 144k-device PG-MCML core that only
 the sparse assembly can run.
 """
 
-import os
 import time
 
 import numpy as np
@@ -40,16 +39,10 @@ from repro.cells.functions import function
 from repro.cells.mcml import McmlCellGenerator
 from repro.cells.pgmcml import PgMcmlCellGenerator
 from repro.errors import CircuitError, ConvergenceError, SynthesisError
-from repro.faultinject import Fault, FaultInjector
 from repro.netlist import LogicSimulator
-from repro.obs import Telemetry
 from repro.spice import (
     Circuit,
-    DC,
-    OP_CACHE_ENV,
-    OperatingPointCache,
     Pulse,
-    default_op_cache,
     run_transient,
     run_transient_batch,
     solve_dc,
@@ -93,9 +86,8 @@ LIB_BUILDERS = {
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    """Equivalence runs must not inherit assembly/cache environment."""
+    """Equivalence runs must not inherit the assembly environment."""
     monkeypatch.delenv(_ASSEMBLY_ENV, raising=False)
-    monkeypatch.delenv(OP_CACHE_ENV, raising=False)
 
 
 # -- testbench builders -------------------------------------------------------
@@ -459,138 +451,6 @@ class TestSparseAssemblyUnit:
         ckt.swap_device(old.name, Capacitor(old.name, *old.terminals,
                                             old.capacitance * 2))
         assert sys_.sparse_assembly() is not asm
-
-
-# -- operating-point cache ----------------------------------------------------
-
-class TestOperatingPointCache:
-    def test_hit_is_byte_identical_to_cold_solve(self):
-        cache = OperatingPointCache()
-        ckt = pg_buffer_chain(2)
-        cold = solve_dc(ckt, op_cache=cache)
-        hit = solve_dc(ckt, op_cache=cache)
-        assert cache.hits == 1 and cache.misses == 1 and cache.stores == 1
-        assert set(hit.voltages) == set(cold.voltages)
-        for node in cold.voltages:
-            # Byte identity, not closeness: same float, same repr.
-            assert hit.voltages[node] == cold.voltages[node]
-            assert repr(hit.voltages[node]) == repr(cold.voltages[node])
-
-    def test_mutating_a_hit_does_not_poison_the_cache(self):
-        cache = OperatingPointCache()
-        ckt = cmos_cell("INV")
-        first = solve_dc(ckt, op_cache=cache)
-        node = next(iter(first.voltages))
-        first.voltages[node] = 99.0
-        again = solve_dc(ckt, op_cache=cache)
-        assert again.voltages[node] != 99.0
-
-    def test_content_addressed_across_equal_builds(self):
-        cache = OperatingPointCache()
-        solve_dc(cmos_cell("NAND2"), op_cache=cache)
-        solve_dc(cmos_cell("NAND2"), op_cache=cache)
-        assert cache.hits == 1
-
-    def test_parameter_change_misses(self):
-        cache = OperatingPointCache()
-        a = cmos_cell("INV")
-        b = cmos_cell("INV")
-        a.resistor("rx", "vdd", "0", 2e6)
-        b.resistor("rx", "vdd", "0", 1e6)
-        solve_dc(a, op_cache=cache)
-        solve_dc(b, op_cache=cache)
-        assert cache.hits == 0 and cache.misses == 2
-
-    def test_swap_device_invalidates(self):
-        from repro.spice import Resistor
-        cache = OperatingPointCache()
-        ckt = cmos_cell("INV")
-        ckt.resistor("rl", "vdd", "0", 1e6)
-        solve_dc(ckt, op_cache=cache)
-        ckt.swap_device("rl", Resistor("rl", "vdd", "0", 5e5))
-        solve_dc(ckt, op_cache=cache)
-        assert cache.hits == 0 and cache.misses == 2
-
-    def test_guess_is_part_of_the_key(self):
-        cache = OperatingPointCache()
-        ckt = cmos_cell("INV")
-        solve_dc(ckt, op_cache=cache)
-        node = next(iter(System(ckt).unknowns))
-        solve_dc(ckt, guess={node: 0.3}, op_cache=cache)
-        assert cache.hits == 0 and cache.misses == 2
-
-    def test_recovery_policy_bypasses(self):
-        from repro.spice.recovery import RecoveryPolicy
-        cache = OperatingPointCache()
-        ckt = cmos_cell("INV")
-        solve_dc(ckt, policy=RecoveryPolicy(), op_cache=cache)
-        assert cache.bypasses == 1 and cache.misses == 0
-
-    def test_unknown_device_class_bypasses(self):
-        from repro.spice.devices import Device
-
-        class Weird(Device):
-            def __init__(self):
-                super().__init__("w1", ("a", "0"))
-
-            def currents(self, volts):
-                return [volts[0] * 1e-3, -volts[0] * 1e-3]
-
-        cache = OperatingPointCache()
-        ckt = Circuit("weird")
-        ckt.v("vs", "a", 1.0)
-        ckt.resistor("r1", "a", "b", 1e3)
-        ckt.resistor("r2", "b", "0", 1e3)
-        ckt.add(Weird())
-        solve_dc(ckt, op_cache=cache)
-        assert cache.bypasses == 1 and len(cache) == 0
-
-    def test_fifo_eviction(self):
-        cache = OperatingPointCache(max_entries=2)
-        gates = ["INV", "NAND2", "NOR2"]
-        for g in gates:
-            solve_dc(cmos_cell(g), op_cache=cache)
-        assert len(cache) == 2
-        solve_dc(cmos_cell("INV"), op_cache=cache)  # evicted -> miss
-        assert cache.misses == 4
-        solve_dc(cmos_cell("NOR2"), op_cache=cache)  # still resident
-        assert cache.hits == 1
-
-    def test_telemetry_counters(self):
-        tele = Telemetry(sinks=[])
-        cache = OperatingPointCache()
-        ckt = cmos_cell("INV")
-        solve_dc(ckt, op_cache=cache, telemetry=tele)
-        solve_dc(ckt, op_cache=cache, telemetry=tele)
-        reg = tele.registry
-        assert reg.counter("spice.opcache.misses").value == 1
-        assert reg.counter("spice.opcache.stores").value == 1
-        assert reg.counter("spice.opcache.hits").value == 1
-
-    def test_disabled_by_default_enabled_by_env(self, monkeypatch):
-        assert default_op_cache() is None
-        monkeypatch.setenv(OP_CACHE_ENV, "1")
-        cache = default_op_cache()
-        assert isinstance(cache, OperatingPointCache)
-        assert default_op_cache() is cache  # persistent instance
-        monkeypatch.setenv(OP_CACHE_ENV, "off")
-        assert default_op_cache() is None
-
-    def test_clear_resets_entries_and_counters(self):
-        cache = OperatingPointCache()
-        solve_dc(cmos_cell("INV"), op_cache=cache)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.counters() == {"hits": 0, "misses": 0, "bypasses": 0,
-                                    "stores": 0, "entries": 0}
-
-    def test_cache_consistent_across_assemblies(self):
-        """Assembly is part of the key; a hit never crosses assemblies."""
-        cache = OperatingPointCache()
-        ckt = cmos_cell("INV")
-        solve_dc(ckt, system=System(ckt, assembly="bank"), op_cache=cache)
-        solve_dc(ckt, system=System(ckt, assembly="sparse"), op_cache=cache)
-        assert cache.hits == 0 and cache.misses == 2
 
 
 # -- elaboration: gate netlist -> transistor circuit --------------------------
